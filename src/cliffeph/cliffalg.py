@@ -8,10 +8,8 @@ tuples) to coefficient expressions; the empty blade is the algebra unit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import symexpr as sx
-from .symexpr import ZERO, ONE, Expr, normal
+from .symexpr import ZERO, ONE, normal
 
 
 class CliffordError(Exception):
@@ -43,9 +41,9 @@ class NotScalarError(CliffordError):
 
 
 class MetricSpec:
-    """n x n bilinear form with flags derived from its entries."""
+    """n x n bilinear form; ``is_diagonal`` selects the fast product."""
 
-    __slots__ = ("n", "entries", "is_symmetric", "is_diagonal", "is_anticommuting")
+    __slots__ = ("n", "entries", "is_diagonal")
 
     def __init__(self, entries):
         rows = tuple(tuple(sx._coerce(v) for v in row) for row in entries)
@@ -54,19 +52,8 @@ class MetricSpec:
             raise ValueError("metric must be a square matrix, 1..16 generators")
         self.n = n
         self.entries = rows
-        self.is_symmetric = all(
-            normal(rows[i][j] - rows[j][i]) == ZERO
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
         self.is_diagonal = all(
             rows[i][j] == ZERO for i in range(n) for j in range(n) if i != j
-        )
-        self.is_anticommuting = all(
-            normal(rows[i][j] + rows[j][i]) == ZERO
-            for i in range(n)
-            for j in range(n)
-            if i != j
         )
 
     @classmethod
@@ -361,7 +348,7 @@ def lst_to_clifford(v, units):
     return out
 
 
-def clifford_to_lst(m, units, algebraic=True):
+def clifford_to_lst(m, units):
     """Components v_k with m = sum v_k c_k; falls back to coefficient
     extraction whenever some c_k squares to zero or to a non-numeric scalar."""
     metric = m.metric
@@ -372,7 +359,7 @@ def clifford_to_lst(m, units, algebraic=True):
         squares.append(normal(sq))
     usable = all(sx.is_rational(s) and s != ZERO for s in squares)
     comps = []
-    if algebraic and usable:
+    if usable:
         for c, sq in zip(units, squares):
             sym = m * c + c * m
             divisor = sx.pow_(sx.mul(sx.rational(2), sq), -1)

@@ -64,9 +64,9 @@ class TransformType(IntEnum):
 
 # The vector-field / Jacobian slots 0..2 pair the t-derivative of the
 # operator-conjugated families with the Jacobian of the point-transform
-# families (slot 0 is the direct family for both).
+# families that the samplers draw as output streams 0..2 (slot 0 is the
+# direct family for both).
 _FIELD_FAMILY = (TransformType.DIRECT, TransformType.CAYLEY_OP, TransformType.CAYLEY1_OP)
-_JACOBIAN_FAMILY = (TransformType.DIRECT, TransformType.CAYLEY_POINT, TransformType.CAYLEY1_POINT)
 _STREAM_FAMILY = (TransformType.DIRECT, TransformType.CAYLEY_POINT, TransformType.CAYLEY1_POINT)
 
 
@@ -217,7 +217,7 @@ def vector_fields(kind):
     for sub in Subgroup:
         for slot in range(3):
             dfam = fams[(sub, _FIELD_FAMILY[slot])]
-            jfam = fams[(sub, _JACOBIAN_FAMILY[slot])]
+            jfam = fams[(sub, _STREAM_FAMILY[slot])]
             du = subs(diff(dfam.u, T), zero_t)
             dv = subs(diff(dfam.v, T), zero_t)
             jac = (
@@ -250,77 +250,74 @@ def curvature(kind, slot=0):
 # Numeric sampling
 
 
-def _in_limits(u, v, kind, cayley, inversion, ulim, vlim):
+def _in_limits(u, v, kind, cayley):
+    """Whether an orbit or transverse point is drawn: finite, inside the
+    plot box and, for the hyperbolic metric, above the u axis (direct) or
+    inside the unit hyperbola (Cayley images)."""
     if not (math.isfinite(u) and math.isfinite(v)):
         return False
-    if abs(u) > ulim or abs(v) > vlim:
+    if abs(u) > DEFAULT_TUNING.ulim or abs(v) > DEFAULT_TUNING.vlim:
         return False
-    if kind != MetricKind.HYPERBOLIC or inversion:
+    if kind != MetricKind.HYPERBOLIC:
         return True
     if not cayley:
         return v >= 0
     return -(u * u) + v * v - 1.001 <= 0
 
 
-class _StreamWriter:
-    """Accumulates records for one output stream, splitting polylines when
-    a point is rejected."""
-
-    def __init__(self, kind_name, transform):
-        self.records = []
-        self.kind_name = kind_name
-        self.transform = transform
-        self._next_id = 0
-        self._cur_id = -1
-        self._need_new = True
-
-    def new_curve(self):
-        self._need_new = True
-
-    def reject(self):
-        self._need_new = True
-
-    def emit(self, u, v, du, dv, grade, pen):
-        if self._need_new:
-            self._cur_id = self._next_id
-            self._next_id += 1
-            self._need_new = False
-        self.records.append(
-            CurveRecord(
-                curve_id=self._cur_id,
-                kind=self.kind_name,
-                transform=self.transform,
-                u=u,
-                v=v,
-                du=du,
-                dv=dv,
-                color_grade=grade,
-                pen_width_hint=pen,
-            )
-        )
+def _sample(kind_name, streams, curves, accept, direction, pen):
+    """The sampling loop of every figure: each env of each (grade, envs)
+    curve goes through each stream's (label, u, v) map.  A point passing
+    ``accept(stream, u, v)`` is emitted with ``direction(stream, env, u, v)``;
+    any other point ends that stream's polyline, as does the end of a curve.
+    Returns one record list per stream, polylines numbered from 0."""
+    records = [[] for _ in streams]
+    started = [0] * len(streams)
+    for grade, envs in curves:
+        drawing = [False] * len(streams)
+        for env in envs:
+            for i, (label, fu, fv) in enumerate(streams):
+                u = evalf(fu, env)
+                v = evalf(fv, env)
+                if not accept(i, u, v):
+                    drawing[i] = False
+                    continue
+                if not drawing[i]:
+                    drawing[i] = True
+                    started[i] += 1
+                du, dv = direction(i, env, u, v)
+                records[i].append(CurveRecord(
+                    curve_id=started[i] - 1, kind=kind_name, transform=label,
+                    u=u, v=v, du=du, dv=dv, color_grade=grade, pen_width_hint=pen,
+                ))
+    return records
 
 
-def _orbit_origin(sub, kind, vi, tables):
-    vil = tables.vilimits[sub][kind]
-    if sub == Subgroup.A:
-        vval = 1.0 * vi / (vil - 1)
-        if kind == MetricKind.HYPERBOLIC:
-            vval *= 2
-        return math.cos(math.pi * vval), math.sin(math.pi * vval)
-    if sub == Subgroup.K:
-        return 0.0, tables.vpoints[kind][vi]
-    # subgroup N: hyperbolic needs a symmetric negative set of origins
-    if kind == MetricKind.HYPERBOLIC:
-        off = vi - vil // 2
-        vval = (-1 if off < 0 else 1) * tables.vpoints[kind][abs(off)]
-    else:
-        vval = tables.vpoints[kind][vi]
-    return 0.0, vval
+def _orbit_origins(sub, kind):
+    """Seed point of each curve of the (sub, kind) orbit family."""
+    vil = DEFAULT_TUNING.vilimits[sub][kind]
+    vpoints = DEFAULT_TUNING.vpoints[kind]
+    origins = []
+    for vi in range(vil):
+        if sub == Subgroup.A:
+            vval = 1.0 * vi / (vil - 1)
+            if kind == MetricKind.HYPERBOLIC:
+                vval *= 2
+            origins.append((math.cos(math.pi * vval), math.sin(math.pi * vval)))
+        elif sub == Subgroup.N and kind == MetricKind.HYPERBOLIC:
+            # hyperbolic N needs a symmetric negative set of origins
+            off = vi - vil // 2
+            origins.append((0.0, (-1 if off < 0 else 1) * vpoints[abs(off)]))
+        else:
+            origins.append((0.0, vpoints[vi]))
+    return origins
 
 
-def _node_parameter(sub, kind, j, tables):
-    f = tables.flimits[sub][kind] * j / tables.fsteps[sub][kind]
-    return f * math.pi if sub == Subgroup.K else f
+def _node_parameters(sub, kind):
+    """Family parameter at each of the 2 * fsteps + 1 nodes of an orbit."""
+    fst = DEFAULT_TUNING.fsteps[sub][kind]
+    params = [DEFAULT_TUNING.flimits[sub][kind] * j / fst for j in range(-fst, fst + 1)]
+    return [f * math.pi for f in params] if sub == Subgroup.K else params
 
 
 def _field_at(field, u, v):
@@ -347,39 +344,34 @@ def _transverse_direction(tu, tv):
     return tu, tv
 
 
-def _make_streams(kind_name):
-    return [
-        _StreamWriter(kind_name, _STREAM_FAMILY[i].label) for i in range(3)
-    ]
+def _sample_streams(kind, sub, kind_name, curves, direction, pen):
+    """Run the sampling loop over the direct family and both Cayley-point
+    images; returns {transform type: records}."""
+    fams = build_families(kind)
+    streams = [(t.label, fams[(sub, t)].u, fams[(sub, t)].v) for t in _STREAM_FAMILY]
+
+    def accept(i, u, v):
+        return _in_limits(u, v, kind, i > 0)
+
+    return dict(zip(_STREAM_FAMILY, _sample(kind_name, streams, curves, accept, direction, pen)))
 
 
-def sample_orbits(kind, sub, tables=DEFAULT_TUNING):
-    """Orbit polylines plus both Cayley-point images, keyed by stream 0..2."""
+def sample_orbits(kind, sub):
+    """Orbit polylines plus both Cayley-point images, keyed by stream 0..2:
+    one curve per orbit origin, sweeping the family parameter."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
-    fams = build_families(kind)
     fields = vector_fields(kind)
-    streams = _make_streams("orbit")
-    vil = tables.vilimits[sub][kind]
-    fst = tables.fsteps[sub][kind]
-    for vi in range(vil):
-        grade = 1.2 * vi / vil
-        for w in streams:
-            w.new_curve()
-        x0, y0 = _orbit_origin(sub, kind, vi, tables)
-        for j in range(-fst, fst + 1):
-            tval = _node_parameter(sub, kind, j, tables)
-            env = {"x": x0, "y": y0, "t": tval}
-            for sx_idx, writer in enumerate(streams):
-                fam = fams[(sub, _STREAM_FAMILY[sx_idx])]
-                u = evalf(fam.u, env)
-                v = evalf(fam.v, env)
-                if _in_limits(u, v, kind, sx_idx > 0, False, tables.ulim, tables.vlim):
-                    du, dv = _field_at(fields[(sub, sx_idx)], u, v)
-                    writer.emit(u, v, du, dv, grade, 1.5)
-                else:
-                    writer.reject()
-    return {_STREAM_FAMILY[i]: streams[i].records for i in range(3)}
+    origins = _orbit_origins(sub, kind)
+    params = _node_parameters(sub, kind)
+    curves = [
+        (1.2 * vi / len(origins), [{"x": x0, "y": y0, "t": t} for t in params])
+        for vi, (x0, y0) in enumerate(origins)
+    ]
+    return _sample_streams(
+        kind, sub, "orbit", curves,
+        lambda i, env, u, v: _field_at(fields[(sub, i)], u, v), 1.5,
+    )
 
 
 def _transverse_seed(sub):
@@ -388,12 +380,11 @@ def _transverse_seed(sub):
     return {TR_U: sx.ZERO, TR_V: sx.ONE}
 
 
-def sample_transverses(kind, sub, tables=DEFAULT_TUNING):
+def sample_transverses(kind, sub):
     """Curves crossing the orbit family: the parameter is fixed per curve
     while the origin sweeps the orbit seeds."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
-    fams = build_families(kind)
     fields = vector_fields(kind)
     seed = _transverse_seed(sub)
     trans = [
@@ -403,35 +394,23 @@ def sample_transverses(kind, sub, tables=DEFAULT_TUNING):
         )
         for i in range(3)
     ]
-    streams = _make_streams("transverse")
-    vil = tables.vilimits[sub][kind]
-    fst = tables.fsteps[sub][kind]
-    for j in range(-fst, fst + 1):
-        tval = _node_parameter(sub, kind, j, tables)
-        for w in streams:
-            w.new_curve()
-        for vi in range(vil):
-            x0, y0 = _orbit_origin(sub, kind, vi, tables)
-            env = {"x": x0, "y": y0, "t": tval}
-            for sx_idx, writer in enumerate(streams):
-                fam = fams[(sub, _STREAM_FAMILY[sx_idx])]
-                u = evalf(fam.u, env)
-                v = evalf(fam.v, env)
-                if _in_limits(u, v, kind, sx_idx > 0, False, tables.ulim, tables.vlim):
-                    tu = evalf(trans[sx_idx][0], env)
-                    tv = evalf(trans[sx_idx][1], env)
-                    du, dv = _transverse_direction(tu, tv)
-                    writer.emit(u, v, du, dv, 1.2, 0.5)
-                else:
-                    writer.reject()
-    return {_STREAM_FAMILY[i]: streams[i].records for i in range(3)}
+    origins = _orbit_origins(sub, kind)
+    curves = [
+        (1.2, [{"x": x0, "y": y0, "t": t} for x0, y0 in origins])
+        for t in _node_parameters(sub, kind)
+    ]
+
+    def direction(i, env, u, v):
+        return _transverse_direction(evalf(trans[i][0], env), evalf(trans[i][1], env))
+
+    return _sample_streams(kind, sub, "transverse", curves, direction, 0.5)
 
 
 ARROW_GRID_COLS = range(-10, 10)
 ARROW_GRID_ROWS = range(0, 11)
 
 
-def sample_arrows(kind, sub, tables=DEFAULT_TUNING):
+def sample_arrows(kind, sub):
     """The direct vector field on a fixed grid, one record per grid node."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
@@ -487,28 +466,30 @@ def sample_future_past():
     frame 0 is the identity."""
     fu, fv = _future_past_family()
     field = vector_fields(MetricKind.HYPERBOLIC)[(Subgroup.K, 0)]
+    streams = [(TransformType.DIRECT.label, fu, fv)]
+    lim = FUTURE_PAST_LIMIT
+    nodes = range(-FUTURE_PAST_NODES // 2, FUTURE_PAST_NODES // 2 + 1)
+    scale = _FUTURE_PAST_NODE_SCALE
+
+    def accept(i, u, v):
+        return abs(u) <= lim and abs(v) <= lim  # also rejects nan and inf
+
     frames = []
     for j in range(FUTURE_PAST_FRAMES):
         angl = math.exp(j / _FUTURE_PAST_EXP_SCALE - 3) if j > 0 else 0.0
-        writer = _StreamWriter("future_past", TransformType.DIRECT.label)
+        curves = []
         for k in range(FUTURE_PAST_CURVES):
             grade = float(k // FUTURE_PAST_FRAMES)  # C integer ratio
-            writer.new_curve()
-            for l in range(-FUTURE_PAST_NODES // 2, FUTURE_PAST_NODES // 2 + 1):
-                x0 = _FUTURE_PAST_RADII[k] * math.cosh(l / _FUTURE_PAST_NODE_SCALE)
-                y0 = _FUTURE_PAST_RADII[k] * math.sinh(l / _FUTURE_PAST_NODE_SCALE)
-                env = {"a": angl, "x": x0, "y": y0}
-                u = evalf(fu, env)
-                v = evalf(fv, env)
-                if _in_limits(
-                    u, v, MetricKind.HYPERBOLIC, False, True,
-                    FUTURE_PAST_LIMIT, FUTURE_PAST_LIMIT,
-                ):
-                    du, dv = _field_at(field, u, v)
-                    writer.emit(u, v, du, dv, grade, 1.0)
-                else:
-                    writer.reject()
-        frames.append(writer.records)
+            r = _FUTURE_PAST_RADII[k]
+            curves.append((grade, [
+                {"a": angl, "x": r * math.cosh(l / scale), "y": r * math.sinh(l / scale)}
+                for l in nodes
+            ]))
+        [records] = _sample(
+            "future_past", streams, curves, accept,
+            lambda i, env, u, v: _field_at(field, u, v), 1.0,
+        )
+        frames.append(records)
     return frames
 
 
@@ -540,26 +521,23 @@ _K_CHECK_LABELS = (
 )
 
 
-def _k_orbit_nodes(kind, v0, tables):
+def _k_orbit_nodes(kind, v0):
     fam = build_families(kind)[(Subgroup.K, TransformType.DIRECT)]
-    fst = tables.fsteps[Subgroup.K][kind]
-    flim = tables.flimits[Subgroup.K][kind]
     nodes = []
-    for j in range(-fst + 1, fst):  # sweep endpoints excluded
-        tval = flim * j / fst * math.pi
+    for tval in _node_parameters(Subgroup.K, kind)[1:-1]:  # sweep endpoints excluded
         u, v = fam.at(0.0, v0, tval)
         if math.isfinite(u) and math.isfinite(v):
             nodes.append((u, v))
     return nodes
 
 
-def verify_k_orbit(kind, v0, tables=DEFAULT_TUNING):
+def verify_k_orbit(kind, v0):
     """Check the closed-form focal property of the K-orbit through (0, v0):
     a circle, a parabola or a hyperbola depending on the metric."""
     kind = MetricKind(kind)
     if v0 <= 0:
         raise ValueError("origin ordinate must be positive")
-    nodes = _k_orbit_nodes(kind, v0, tables)
+    nodes = _k_orbit_nodes(kind, v0)
     flips = 0
     if kind == MetricKind.ELLIPTIC:
         cy = (v0 + 1 / v0) / 2
@@ -661,7 +639,7 @@ def _vertex_check_family(sub, image):
     return MoebiusFamily(Subgroup(sub), TransformType(3 + image), u, v)
 
 
-def verify_parabolic_vertices(sub, tables=DEFAULT_TUNING):
+def verify_parabolic_vertices(sub):
     """Fit parabolas through consecutive Cayley-image triples of the
     parabolic orbits of subgroup A or N and, for A, check that the vertex
     lands on v = -u^2 - 1 (first Cayley image) or v = u^2 - 1 (second)."""
@@ -670,15 +648,12 @@ def verify_parabolic_vertices(sub, tables=DEFAULT_TUNING):
         raise ValueError("vertex law applies to subgroups A and N only")
     kind = MetricKind.PARABOLIC
     report = VertexReport(subgroup=sub)
-    vil = tables.vilimits[sub][kind]
-    fst = tables.fsteps[sub][kind]
-    for vi in range(vil):
-        x0, y0 = _orbit_origin(sub, kind, vi, tables)
+    params = _node_parameters(sub, kind)
+    for vi, (x0, y0) in enumerate(_orbit_origins(sub, kind)):
         for image in range(2):
             fam = _vertex_check_family(sub, image)
             pts = []
-            for j in range(-fst, fst + 1):
-                tval = _node_parameter(sub, kind, j, tables)
+            for tval in params:
                 u, v = fam.at(x0, y0, tval)
                 pts.append((u, v) if math.isfinite(u) and math.isfinite(v) else None)
             for i in range(len(pts) - 2):

@@ -7,7 +7,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curves import FIELDS
 from .ephgeom import (
@@ -25,15 +25,27 @@ from .ephgeom import (
     verify_parabolic_vertices,
 )
 
-ORBIT_STEMS = {
-    TransformType.DIRECT: "orbit",
-    TransformType.CAYLEY_POINT: "cayley",
-    TransformType.CAYLEY1_POINT: "cayl-a",
-}
-TRANSVERSE_STEMS = {
-    TransformType.DIRECT: "orbit-t",
-    TransformType.CAYLEY_POINT: "cayley-t",
-    TransformType.CAYLEY1_POINT: "cayl-a-t",
+# Pipeline -> (sampler, file stem per output key).  A key picks one record
+# list out of the sampler's result; None takes the whole result.  The
+# sampler is looked up by name when it runs, so rebinding the module
+# attribute takes effect.  future-past runs once, the others once per
+# (metric, subgroup).
+PIPELINE_STEMS = {
+    "orbits": ("sample_orbits", {
+        TransformType.DIRECT: "orbit",
+        TransformType.CAYLEY_POINT: "cayley",
+        TransformType.CAYLEY1_POINT: "cayl-a",
+    }),
+    "transverses": ("sample_transverses", {
+        TransformType.DIRECT: "orbit-t",
+        TransformType.CAYLEY_POINT: "cayley-t",
+        TransformType.CAYLEY1_POINT: "cayl-a-t",
+    }),
+    "arrows": ("sample_arrows", {None: "arrows"}),
+    "future-past": (
+        "sample_future_past",
+        {j: "future-past-%02d" % j for j in range(FUTURE_PAST_FRAMES)},
+    ),
 }
 
 
@@ -47,11 +59,6 @@ class JobConfig:
     subs: list
     out_dir: str = "."
     fmt: str = "jsonl"
-    pipelines: tuple = ("orbits",)
-
-    def __post_init__(self):
-        if not self.pipelines:
-            raise ValueError("at least one pipeline must be selected")
 
 
 def _fmt_num(x):
@@ -178,54 +185,27 @@ def write_curves(records, path, fmt="jsonl", limits=None):
 # Pipelines
 
 
-def run_orbits(config):
+def run_pipeline(name, config):
+    """Sample one pipeline and write its files; returns their paths in
+    writing order."""
+    sampler, stems = PIPELINE_STEMS[name]
+    if name == "future-past":
+        jobs = [()]
+        limits = (FUTURE_PAST_LIMIT, FUTURE_PAST_LIMIT)
+    else:
+        jobs = [(kind, sub) for kind in config.kinds for sub in config.subs]
+        limits = None
     written = []
-    for kind in config.kinds:
-        for sub in config.subs:
-            streams = sample_orbits(kind, sub)
-            for ttype, stem in ORBIT_STEMS.items():
-                name = curve_filename(stem, sub, kind, config.fmt)
-                path = os.path.join(config.out_dir, name)
-                write_curves(streams[ttype], path, config.fmt)
-                written.append(path)
-    return written
-
-
-def run_transverses(config):
-    written = []
-    for kind in config.kinds:
-        for sub in config.subs:
-            streams = sample_transverses(kind, sub)
-            for ttype, stem in TRANSVERSE_STEMS.items():
-                name = curve_filename(stem, sub, kind, config.fmt)
-                path = os.path.join(config.out_dir, name)
-                write_curves(streams[ttype], path, config.fmt)
-                written.append(path)
-    return written
-
-
-def run_arrows(config):
-    written = []
-    for kind in config.kinds:
-        for sub in config.subs:
-            records = sample_arrows(kind, sub)
-            name = curve_filename("arrows", sub, kind, config.fmt)
-            path = os.path.join(config.out_dir, name)
-            write_curves(records, path, config.fmt)
+    for job in jobs:
+        result = globals()[sampler](*job)
+        for key, stem in stems.items():
+            if job:
+                fname = curve_filename(stem, job[1], job[0], config.fmt)
+            else:
+                fname = "%s.%s" % (stem, config.fmt)
+            path = os.path.join(config.out_dir, fname)
+            write_curves(result if key is None else result[key], path, config.fmt, limits)
             written.append(path)
-    return written
-
-
-def run_future_past(config):
-    written = []
-    frames = sample_future_past()
-    for j in range(FUTURE_PAST_FRAMES):
-        name = "future-past-%02d.%s" % (j, config.fmt)
-        path = os.path.join(config.out_dir, name)
-        write_curves(
-            frames[j], path, config.fmt, limits=(FUTURE_PAST_LIMIT, FUTURE_PAST_LIMIT)
-        )
-        written.append(path)
     return written
 
 
@@ -271,13 +251,6 @@ def run_verify(config, out=None):
     return ok
 
 
-_PIPELINES = {
-    "orbits": run_orbits,
-    "transverses": run_transverses,
-    "arrows": run_arrows,
-    "future-past": run_future_past,
-}
-
 _METRIC_FLAGS = {"e": [MetricKind.ELLIPTIC], "p": [MetricKind.PARABOLIC],
                  "h": [MetricKind.HYPERBOLIC], "all": list(MetricKind)}
 _SUBGROUP_FLAGS = {"A": [Subgroup.A], "N": [Subgroup.N], "K": [Subgroup.K],
@@ -311,15 +284,19 @@ def cli_main(argv=None):
         subs=_SUBGROUP_FLAGS[args.subgroup],
         out_dir=args.out,
         fmt=args.format,
-        pipelines=pipelines,
     )
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as err:
+        print("cliffeph: error: cannot use --out %s: %s" % (config.out_dir, err.strerror),
+              file=sys.stderr)
+        return 2
     for name in pipelines:
         if name == "verify":
             if not run_verify(config):
                 return 1
         else:
-            for path in _PIPELINES[name](config):
+            for path in run_pipeline(name, config):
                 print(path)
     return 0
 

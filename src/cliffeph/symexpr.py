@@ -204,9 +204,9 @@ def rational(p, q=1):
 def _coerce(x):
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Rational(Fraction(x))
-    if isinstance(x, float):
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ExprError("cannot interpret %r as an exact constant" % (x,))
+    if isinstance(x, (int, Fraction, float)):
         # Fractions represent every finite double exactly.
         return Rational(Fraction(x))
     raise TypeError("cannot interpret %r as an expression" % (x,))
@@ -220,7 +220,7 @@ def _key(e):
     if isinstance(e, Rational):
         return (0, e.value)
     if isinstance(e, Symbol):
-        return (1, e.name)
+        return (1, e.name, e.positive)
     if isinstance(e, Func):
         return (2, e.name, _key(e.arg))
     if isinstance(e, Pow):
@@ -329,13 +329,16 @@ def _rational_pow(q, exp):
 
 
 def _iroot(n, k):
+    """Exact integer k-th root of n >= 0, or None; integer Newton steps
+    from above, so any size of n works."""
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** k == n:
-            return c
-    return None
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
 
 
 def _coerce_exponent(x):
@@ -344,6 +347,8 @@ def _coerce_exponent(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ExprError("exponent %r is not finite" % (x,))
         return Fraction(x).limit_denominator(10 ** 9)
     if isinstance(x, Expr):
         raise ExprError("only rational exponents are supported")
@@ -738,11 +743,6 @@ def normal(e):
 # Linear solving
 
 
-def contains_symbol(e, sym):
-    name = _sym_name(sym)
-    return _contains(_coerce(e), name)
-
-
 def _contains(e, name):
     if isinstance(e, Symbol):
         return e.name == name
@@ -755,27 +755,6 @@ def _contains(e, name):
     if isinstance(e, Func):
         return _contains(e.arg, name)
     return False
-
-
-def free_symbols(e):
-    out = set()
-
-    def walk(x):
-        if isinstance(x, Symbol):
-            out.add(x.name)
-        elif isinstance(x, Add):
-            for t in x.terms:
-                walk(t)
-        elif isinstance(x, Mul):
-            for f in x.factors:
-                walk(f)
-        elif isinstance(x, Pow):
-            walk(x.base)
-        elif isinstance(x, Func):
-            walk(x.arg)
-
-    walk(_coerce(e))
-    return out
 
 
 def lsolve(equations, variables):

@@ -183,7 +183,7 @@ class TestSampling:
     def test_orbit_points_respect_limits(self):
         tab = DEFAULT_TUNING
         for kind in KINDS:
-            streams = sample_orbits(kind, Subgroup.A, tab)
+            streams = sample_orbits(kind, Subgroup.A)
             for ttype, recs in streams.items():
                 cayley = ttype != TransformType.DIRECT
                 for r in recs:

@@ -107,6 +107,18 @@ class TestCli:
             cli_main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        code = cli_main(["arrows", "--metric", "p", "--subgroup", "N",
+                         "--out", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cliffeph: error: ")
+        assert target.read_text() == "keep"
+
     def test_arrows_file_has_grid(self, tmp_path):
         code = cli_main(["arrows", "--metric", "p", "--subgroup", "N",
                          "--out", str(tmp_path)])
@@ -116,16 +128,10 @@ class TestCli:
 
 
 class TestJobConfig:
-    def test_requires_a_pipeline(self):
-        with pytest.raises(ValueError):
-            JobConfig(kinds=[MetricKind.ELLIPTIC], subs=[Subgroup.A], pipelines=())
-
     def test_run_verify_report_stream(self, tmp_path):
         import io
 
-        config = JobConfig(
-            kinds=[MetricKind.PARABOLIC], subs=[Subgroup.A], pipelines=("verify",)
-        )
+        config = JobConfig(kinds=[MetricKind.PARABOLIC], subs=[Subgroup.A])
         buf = io.StringIO()
         assert run_verify(config, out=buf)
         assert "vertex law A" in buf.getvalue()

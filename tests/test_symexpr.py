@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffeph import (
+    ExprError,
     FreeSymbolError,
     SingularSystemError,
     as_fraction_value,
@@ -24,7 +25,7 @@ from cliffeph import (
     symbols,
     to_str,
 )
-from cliffeph.symexpr import ONE, ZERO, pow_
+from cliffeph.symexpr import ONE, ZERO, Pow, pow_
 
 x, y, t = symbols("x y t")
 
@@ -51,6 +52,25 @@ class TestConstruction:
     def test_exact_integer_roots(self):
         assert sqrt(rational(4)) == rational(2)
         assert sqrt(rational(9, 16)) == rational(3, 4)
+
+    def test_roots_beyond_float_range(self):
+        assert sqrt(rational(10 ** 400)) == rational(10 ** 200)
+        assert sqrt(rational(1, 10 ** 400)) == rational(1, 10 ** 200)
+        assert isinstance(sqrt(rational(2 * 10 ** 400)), Pow)
+        assert pow_(rational(10 ** 600), Fraction(1, 3)) == rational(10 ** 200)
+
+    def test_positive_symbol_is_its_own_atom(self):
+        xp = symbol("x", positive=True)
+        assert x * xp != x ** 2
+        assert x - xp != ZERO
+        assert x * xp == xp * x
+
+    def test_non_finite_floats_raise_expr_error(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ExprError):
+                rational(1) * bad
+            with pytest.raises(ExprError):
+                x ** bad
 
     def test_functions_fold_at_zero(self):
         assert sin(ZERO) == ZERO
