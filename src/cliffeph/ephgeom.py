@@ -605,20 +605,17 @@ class VertexReport:
         return max(abs(f.check_value + 1) for f in checked)
 
 
-def _fit_parabola_exact(pts):
-    """Fit v = a u^2 + b u + c through three points with exact rationals."""
-    a, b, c = symbol("a"), symbol("b"), symbol("c")
-    eqs = []
-    for u, v in pts:
-        uq = sx.rational(Fraction(u))
-        vq = sx.rational(Fraction(v))
-        eqs.append((a * uq * uq + b * uq + c, vq))
-    sol = sx.lsolve(eqs, [a, b, c])
-    return (
-        sx.as_fraction_value(sol["a"]),
-        sx.as_fraction_value(sol["b"]),
-        sx.as_fraction_value(sol["c"]),
-    )
+def _fit_parabola_exact(p0, p1, p2):
+    """Exact (a, b, c) of v = a u^2 + b u + c through three rational
+    points by Newton divided differences; None when two abscissae
+    coincide."""
+    (u0, v0), (u1, v1), (u2, v2) = p0, p1, p2
+    if u0 == u1 or u0 == u2 or u1 == u2:
+        return None
+    d01 = (v1 - v0) / (u1 - u0)
+    a = ((v2 - v1) / (u2 - u1) - d01) / (u2 - u0)
+    b = d01 - a * (u0 + u1)
+    return a, b, v0 - u0 * (d01 - a * u1)
 
 
 @lru_cache(maxsize=None)
@@ -655,19 +652,16 @@ def verify_parabolic_vertices(sub):
             pts = []
             for tval in params:
                 u, v = fam.at(x0, y0, tval)
-                pts.append((u, v) if math.isfinite(u) and math.isfinite(v) else None)
-            for i in range(len(pts) - 2):
-                triple = pts[i : i + 3]
-                if any(p is None for p in triple):
+                finite = math.isfinite(u) and math.isfinite(v)
+                pts.append((Fraction(u), Fraction(v)) if finite else None)
+            for triple in zip(pts, pts[1:], pts[2:]):
+                if None in triple:
                     continue
-                try:
-                    a, b, c = _fit_parabola_exact(triple)
-                except sx.SingularSystemError:
+                fit = _fit_parabola_exact(*triple)
+                if fit is None or fit[0] == 0:
                     report.skipped += 1
                     continue
-                if a == 0:
-                    report.skipped += 1
-                    continue
+                a, b, c = fit
                 vert_u = -b / (2 * a)
                 vert_v = c - b * b / (4 * a)
                 # The two images open in opposite directions, so the

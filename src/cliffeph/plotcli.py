@@ -4,6 +4,7 @@ command-line driver for the geometry pipelines."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -64,6 +65,8 @@ class JobConfig:
 def _fmt_num(x):
     if isinstance(x, int):
         return "%d" % x
+    if not math.isfinite(x):
+        raise ValueError("cannot write non-finite number %r" % (x,))
     return "%.9g" % x
 
 
@@ -164,21 +167,29 @@ def _write_svg(records, fh, limits):
 
 def write_curves(records, path, fmt="jsonl", limits=None):
     """Write records to ``path`` as JSONL (one record per line, fixed key
-    order, 9 significant digits) or as an SVG picture."""
+    order, 9 significant digits) or as an SVG picture.  The file is
+    written beside ``path`` and renamed onto it, so on any error ``path``
+    keeps its old content and nothing else is left behind."""
+    if fmt not in ("jsonl", "svg"):
+        raise ValueError("unknown format %r" % (fmt,))
     if limits is None:
         limits = (DEFAULT_TUNING.ulim, DEFAULT_TUNING.vlim)
+    part = os.fspath(path) + ".part"
     try:
-        with open(path, "w", newline="\n") as fh:
+        with open(part, "w", newline="\n") as fh:
             if fmt == "jsonl":
                 for rec in records:
                     fh.write(_jsonl_line(rec))
                     fh.write("\n")
-            elif fmt == "svg":
-                _write_svg(records, fh, limits)
             else:
-                raise ValueError("unknown format %r" % (fmt,))
-    except OSError as err:
-        raise OSError("cannot write %s: %s" % (path, err)) from err
+                _write_svg(records, fh, limits)
+        os.replace(part, path)
+    except BaseException as err:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        if isinstance(err, OSError):
+            raise OSError("cannot write %s: %s" % (path, err)) from err
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +296,10 @@ def cli_main(argv=None):
         out_dir=args.out,
         fmt=args.format,
     )
+    # verify writes no file, so only the other commands touch --out
     try:
-        os.makedirs(config.out_dir, exist_ok=True)
+        if args.command != "verify":
+            os.makedirs(config.out_dir, exist_ok=True)
     except OSError as err:
         print("cliffeph: error: cannot use --out %s: %s" % (config.out_dir, err.strerror),
               file=sys.stderr)

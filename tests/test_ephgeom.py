@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cliffeph import (
     DEFAULT_TUNING,
@@ -27,7 +29,8 @@ from cliffeph import (
     verify_k_orbit,
     verify_parabolic_vertices,
 )
-from cliffeph.symexpr import ZERO
+from cliffeph.ephgeom import _fit_parabola_exact
+from cliffeph.symexpr import ZERO, SingularSystemError, as_fraction_value, lsolve
 
 x, y, t = symbols("x y t")
 
@@ -271,3 +274,33 @@ class TestVerify:
         unit = [f for f in rep.fits if abs(abs(f.a) - 1) < 1e-9]
         assert unit
         assert all(abs(abs(f.focal_length) - 0.25) < 1e-9 for f in unit)
+
+
+def _lsolve_fit(points):
+    """Reference fit: the symbolic solver on the 3x3 Vandermonde system."""
+    a, b, c = symbols("a b c")
+    eqs = [(a * rational(u) ** 2 + b * rational(u) + c, rational(v)) for u, v in points]
+    try:
+        sol = lsolve(eqs, [a, b, c])
+    except SingularSystemError:
+        return None
+    return tuple(as_fraction_value(sol[name]) for name in "abc")
+
+
+# a small pool of abscissae, so that coincident ones are drawn often
+_points = st.tuples(
+    st.sampled_from([Fraction(q) for q in ("-2", "-1/2", "0", "1/3", "1", "5/2")]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(_points, _points, _points))
+@example(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(0), Fraction(0))))
+@example(((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+def test_fit_parabola_matches_lsolve(points):
+    fit = _fit_parabola_exact(*points)
+    assert fit == _lsolve_fit(points)
+    if fit is not None:
+        a, b, c = fit
+        assert all(a * u * u + b * u + c == v for u, v in points)

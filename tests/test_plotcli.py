@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import xml.dom.minidom
 
@@ -53,6 +54,31 @@ class TestJsonl:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_curves([], tmp_path / "x.bin", "bin")
+        assert os.listdir(tmp_path) == []
+
+
+class TestWriteSafety:
+    @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
+    def test_failed_rewrite_keeps_old_file(self, tmp_path, fmt):
+        path = tmp_path / ("a." + fmt)
+        write_curves([_rec(), _rec(u=0.7)], path, fmt)
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_curves([_rec(), _rec(u=None)], path, fmt)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == [path.name]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_raises_and_leaves_no_file(self, tmp_path, fmt, bad):
+        with pytest.raises(ValueError):
+            write_curves([_rec(), _rec(u=0.7, v=bad)], tmp_path / ("a." + fmt), fmt)
+        assert os.listdir(tmp_path) == []
+
+    def test_unwritable_path_wraps_os_error(self, tmp_path):
+        with pytest.raises(OSError, match="cannot write"):
+            write_curves([_rec()], tmp_path / "missing" / "a.jsonl", "jsonl")
+        assert os.listdir(tmp_path) == []
 
 
 class TestSvg:
@@ -118,6 +144,13 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cliffeph: error: ")
         assert target.read_text() == "keep"
+
+    def test_verify_creates_no_out_dir(self, tmp_path, capsys):
+        target = tmp_path / "new"
+        code = cli_main(["verify", "--metric", "p", "--subgroup", "A",
+                         "--out", str(target)])
+        assert code == 0
+        assert os.listdir(tmp_path) == []
 
     def test_arrows_file_has_grid(self, tmp_path):
         code = cli_main(["arrows", "--metric", "p", "--subgroup", "N",
