@@ -41,9 +41,9 @@ class NotScalarError(CliffordError):
 
 
 class MetricSpec:
-    """n x n bilinear form; ``is_diagonal`` selects the fast product."""
+    """n x n bilinear form."""
 
-    __slots__ = ("n", "entries", "is_diagonal")
+    __slots__ = ("n", "entries")
 
     def __init__(self, entries):
         rows = tuple(tuple(sx._coerce(v) for v in row) for row in entries)
@@ -52,9 +52,6 @@ class MetricSpec:
             raise ValueError("metric must be a square matrix, 1..16 generators")
         self.n = n
         self.entries = rows
-        self.is_diagonal = all(
-            rows[i][j] == ZERO for i in range(n) for j in range(n) if i != j
-        )
 
     @classmethod
     def diag(cls, *values):
@@ -201,12 +198,7 @@ def _mv_mul(a, b):
     acc = {}
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
-            coeff = sx.mul(ca, cb)
-            word = ba + bb
-            if metric.is_diagonal:
-                _reduce_diagonal(acc, coeff, word, metric)
-            else:
-                _reduce_general(acc, coeff, word, metric)
+            _reduce_general(acc, sx.mul(ca, cb), ba + bb, metric)
     return Multivector(metric, acc)
 
 
@@ -215,34 +207,6 @@ def _emit(acc, blade, coeff):
         acc[blade] = sx.add(acc[blade], coeff)
     else:
         acc[blade] = coeff
-
-
-def _reduce_diagonal(acc, coeff, word, metric):
-    # Off-diagonal contractions vanish, so a word reduces to a single blade:
-    # bubble-sort with a sign per swap, equal neighbours contract to B(i,i).
-    w = list(word)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k < len(w) - 1:
-            if w[k] > w[k + 1]:
-                w[k], w[k + 1] = w[k + 1], w[k]
-                sign = -sign
-                changed = True
-                k += 1
-            elif w[k] == w[k + 1]:
-                coeff = sx.mul(coeff, metric.b(w[k], w[k]))
-                del w[k : k + 2]
-                changed = True
-            else:
-                k += 1
-    if coeff == ZERO:
-        return
-    if sign < 0:
-        coeff = sx.mul(sx.rational(-1), coeff)
-    _emit(acc, tuple(w), coeff)
 
 
 def _reduce_general(acc, coeff, word, metric):

@@ -157,8 +157,6 @@ def subgroup_exp(sub, t, kind):
 
 @dataclass(frozen=True)
 class MoebiusFamily:
-    subgroup: Subgroup
-    transform: TransformType
     u: sx.Expr
     v: sx.Expr
 
@@ -191,7 +189,7 @@ def build_families(kind):
                     "family (%s, %s, %s) failed: %s"
                     % (sub.name, ttype.name, kind.name, err)
                 ) from err
-            out[(sub, ttype)] = MoebiusFamily(sub, ttype, u, v)
+            out[(sub, ttype)] = MoebiusFamily(u, v)
     return out
 
 
@@ -199,8 +197,6 @@ def build_families(kind):
 class FieldData:
     """Vector field, Jacobian and transverse direction for one slot 0..2."""
 
-    subgroup: Subgroup
-    slot: int
     du: sx.Expr
     dv: sx.Expr
     jacobian: tuple       # ((du/dx, du/dy), (dv/dx, dv/dy)) of the point family
@@ -226,7 +222,7 @@ def vector_fields(kind):
             )
             tu = normal(jac[0][0] * TR_U + jac[0][1] * TR_V)
             tv = normal(jac[1][0] * TR_U + jac[1][1] * TR_V)
-            out[(sub, slot)] = FieldData(sub, slot, du, dv, jac, tu, tv)
+            out[(sub, slot)] = FieldData(du, dv, jac, tu, tv)
     return out
 
 
@@ -521,8 +517,15 @@ _K_CHECK_LABELS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _k_direct_family(kind):
+    """The direct K family alone: the focal checks need none of the other 14."""
+    u, v = clifford_moebius_map(subgroup_exp(Subgroup.K, T, kind), (X, Y), metric_for(kind))
+    return MoebiusFamily(u, v)
+
+
 def _k_orbit_nodes(kind, v0):
-    fam = build_families(kind)[(Subgroup.K, TransformType.DIRECT)]
+    fam = _k_direct_family(kind)
     nodes = []
     for tval in _node_parameters(Subgroup.K, kind)[1:-1]:  # sweep endpoints excluded
         u, v = fam.at(0.0, v0, tval)
@@ -633,7 +636,7 @@ def _vertex_check_family(sub, image):
         cay = CMat2(one, -e1, e1, one)
     mat = mat_mul(cay, subgroup_exp(sub, T, kind))
     u, v = clifford_moebius_map(mat, (X, Y), metric)
-    return MoebiusFamily(Subgroup(sub), TransformType(3 + image), u, v)
+    return MoebiusFamily(u, v)
 
 
 def verify_parabolic_vertices(sub):

@@ -8,6 +8,11 @@ numerically under every assignment of their symbols.
 
 Division is represented as a power with a negative exponent; floats only
 appear when :func:`evalf` is called.
+
+Identity lives in one place: every node stores its term-order key
+``_key``, a tuple built once from its children's stored keys.  ``==``
+compares keys, the constructors sort terms and factors by them, and the
+cached ``hash`` is built from the children's cached hashes.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 
 class ExprError(Exception):
@@ -38,7 +44,7 @@ class NonLinearError(ExprError):
 
 
 class Expr:
-    __slots__ = ("_hash",)
+    __slots__ = ("_key", "_hash")
 
     # Arithmetic sugar; every operator funnels into the canonicalizing
     # constructors below.
@@ -85,6 +91,9 @@ class Expr:
     def __repr__(self):
         return to_str(self)
 
+    def __eq__(self, other):
+        return isinstance(other, Expr) and self._key == other._key
+
     def __hash__(self):
         return self._hash
 
@@ -94,12 +103,8 @@ class Rational(Expr):
 
     def __init__(self, value):
         self.value = value if isinstance(value, Fraction) else Fraction(value)
+        self._key = (0, self.value)
         self._hash = hash(("rat", self.value))
-
-    def __eq__(self, other):
-        return isinstance(other, Rational) and self.value == other.value
-
-    __hash__ = Expr.__hash__
 
 
 class Symbol(Expr):
@@ -108,16 +113,8 @@ class Symbol(Expr):
     def __init__(self, name, positive=False):
         self.name = name
         self.positive = bool(positive)
+        self._key = (1, name, self.positive)
         self._hash = hash(("sym", name, self.positive))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Symbol)
-            and self.name == other.name
-            and self.positive == other.positive
-        )
-
-    __hash__ = Expr.__hash__
 
 
 class Add(Expr):
@@ -127,12 +124,8 @@ class Add(Expr):
 
     def __init__(self, terms):
         self.terms = terms
+        self._key = (5, tuple(t._key for t in terms))
         self._hash = hash(("add", terms))
-
-    def __eq__(self, other):
-        return isinstance(other, Add) and self.terms == other.terms
-
-    __hash__ = Expr.__hash__
 
 
 class Mul(Expr):
@@ -142,12 +135,8 @@ class Mul(Expr):
 
     def __init__(self, factors):
         self.factors = factors
+        self._key = (4, tuple(f._key for f in factors))
         self._hash = hash(("mul", factors))
-
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    __hash__ = Expr.__hash__
 
 
 class Pow(Expr):
@@ -158,16 +147,8 @@ class Pow(Expr):
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = exponent
+        self._key = (3, base._key, exponent)
         self._hash = hash(("pow", base, exponent))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.exponent == other.exponent
-            and self.base == other.base
-        )
-
-    __hash__ = Expr.__hash__
 
 
 class Func(Expr):
@@ -176,12 +157,8 @@ class Func(Expr):
     def __init__(self, name, arg):
         self.name = name
         self.arg = arg
+        self._key = (2, name, arg._key)
         self._hash = hash(("fun", name, arg))
-
-    def __eq__(self, other):
-        return isinstance(other, Func) and self.name == other.name and self.arg == other.arg
-
-    __hash__ = Expr.__hash__
 
 
 ZERO = Rational(Fraction(0))
@@ -212,22 +189,7 @@ def _coerce(x):
     raise TypeError("cannot interpret %r as an expression" % (x,))
 
 
-# ---------------------------------------------------------------------------
-# Term order
-
-
-def _key(e):
-    if isinstance(e, Rational):
-        return (0, e.value)
-    if isinstance(e, Symbol):
-        return (1, e.name, e.positive)
-    if isinstance(e, Func):
-        return (2, e.name, _key(e.arg))
-    if isinstance(e, Pow):
-        return (3, _key(e.base), e.exponent)
-    if isinstance(e, Mul):
-        return (4, tuple(_key(f) for f in e.factors))
-    return (5, tuple(_key(t) for t in e.terms))
+_term_order = attrgetter("_key")
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +231,10 @@ def add(*terms):
             const += t.value
             continue
         coeff, mono = _split_coeff(t)
-        k = _key(mono)
-        if k in bucket:
-            bucket[k][0] += coeff
-        else:
-            bucket[k] = [coeff, mono]
+        bucket[mono] = bucket[mono] + coeff if mono in bucket else coeff
     out = []
-    for k in sorted(bucket):
-        coeff, mono = bucket[k]
+    for mono in sorted(bucket, key=_term_order):
+        coeff = bucket[mono]
         if coeff != 0:
             out.append(_scale(coeff, mono))
     if not out:
@@ -392,23 +350,15 @@ def mul(*factors):
         elif isinstance(f, Mul):
             pending.extend(f.factors)
         elif isinstance(f, Pow):
-            k = _key(f.base)
-            if k in powers:
-                powers[k][1] += f.exponent
-            else:
-                powers[k] = [f.base, f.exponent]
+            powers[f.base] = powers.get(f.base, 0) + f.exponent
         else:
-            k = _key(f)
-            if k in powers:
-                powers[k][1] += Fraction(1)
-            else:
-                powers[k] = [f, Fraction(1)]
+            powers[f] = powers.get(f, 0) + 1
 
     atoms = []
     adds = []
     requeue = []
-    for k in sorted(powers):
-        base, e = powers[k]
+    for base in sorted(powers, key=_term_order):
+        e = powers[base]
         if e == 0:
             continue
         if e == 1:
@@ -630,19 +580,13 @@ def _fpow(b, q):
 
 
 def _mul_powers(e):
-    """Factor multiset of a canonical product as {key: (base, exponent)}."""
+    """Factor multiset of a canonical product as {base: exponent}."""
     out = {}
-    if isinstance(e, Mul):
-        fs = e.factors
-    else:
-        fs = (e,)
-    for f in fs:
-        if isinstance(f, Rational):
-            continue
+    for f in e.factors if isinstance(e, Mul) else (e,):
         if isinstance(f, Pow):
-            out[_key(f.base)] = (f.base, f.exponent)
-        else:
-            out[_key(f)] = (f, Fraction(1))
+            out[f.base] = f.exponent
+        elif not isinstance(f, Rational):
+            out[f] = Fraction(1)
     return out
 
 
@@ -662,21 +606,20 @@ def _as_fraction(e):
         parts = [_as_fraction(t) for t in e.terms]
         den_pows = {}
         for _, d in parts:
-            for k, (base, exps) in _mul_powers(d).items():
-                if k not in den_pows or den_pows[k][1] < exps:
-                    den_pows[k] = (base, exps)
+            for base, x in _mul_powers(d).items():
+                den_pows[base] = max(den_pows.get(base, x), x)
         if not den_pows:
             return e, ONE
         num_terms = []
         for n, d in parts:
             own = _mul_powers(d)
-            comp = []
-            for k, (base, exps) in den_pows.items():
-                have = own[k][1] if k in own else Fraction(0)
-                if exps > have:
-                    comp.append(pow_(base, exps - have))
+            comp = [
+                pow_(base, x - own.get(base, 0))
+                for base, x in den_pows.items()
+                if x > own.get(base, 0)
+            ]
             num_terms.append(mul(n, *comp))
-        den = mul(*(pow_(b, x) for b, x in den_pows.values()))
+        den = mul(*(pow_(b, x) for b, x in den_pows.items()))
         return add(*num_terms), den
     return e, ONE
 
@@ -692,15 +635,11 @@ def _common_factors(num):
     for t in terms:
         coeff, mono = _split_coeff(t)
         content = _fraction_gcd(content, abs(coeff))
-        pows = {k: v for k, v in _mul_powers(mono).items() if v[1] > 0}
+        pows = {b: x for b, x in _mul_powers(mono).items() if x > 0}
         if shared is None:
             shared = pows
         else:
-            shared = {
-                k: (v[0], min(v[1], pows[k][1]))
-                for k, v in shared.items()
-                if k in pows
-            }
+            shared = {b: min(x, pows[b]) for b, x in shared.items() if b in pows}
     return content, shared or {}
 
 
@@ -722,9 +661,9 @@ def normal(e):
         den_coeff = den.value
     content, shared = _common_factors(num)
     cancel = []
-    for k, (base, exps) in shared.items():
-        if k in den_pows:
-            m = min(exps, den_pows[k][1])
+    for base, x in shared.items():
+        if base in den_pows:
+            m = min(x, den_pows[base])
             if m > 0:
                 cancel.append((base, m))
     if cancel:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from cliffeph import Multivector, as_fraction_value
+from cliffeph.symexpr import Func, Mul, Pow, Rational, Symbol
 
 
 def eye(n):
@@ -106,3 +107,19 @@ def _to_expr(frac):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def reference_key(e):
+    """Term-order key of an expression, recomputed by walking the whole
+    tree; the oracle for the key each node stores when it is built."""
+    if isinstance(e, Rational):
+        return (0, e.value)
+    if isinstance(e, Symbol):
+        return (1, e.name, e.positive)
+    if isinstance(e, Func):
+        return (2, e.name, reference_key(e.arg))
+    if isinstance(e, Pow):
+        return (3, reference_key(e.base), e.exponent)
+    if isinstance(e, Mul):
+        return (4, tuple(reference_key(f) for f in e.factors))
+    return (5, tuple(reference_key(t) for t in e.terms))

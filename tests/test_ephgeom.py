@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cliffeph import (
     DEFAULT_TUNING,
+    JobConfig,
     MetricKind,
     Subgroup,
     TransformType,
@@ -29,7 +31,9 @@ from cliffeph import (
     verify_k_orbit,
     verify_parabolic_vertices,
 )
-from cliffeph.ephgeom import _fit_parabola_exact
+from cliffeph import ephgeom
+from cliffeph.ephgeom import _fit_parabola_exact, _k_direct_family, _vertex_check_family
+from cliffeph.plotcli import run_verify
 from cliffeph.symexpr import ZERO, SingularSystemError, as_fraction_value, lsolve
 
 x, y, t = symbols("x y t")
@@ -268,6 +272,20 @@ class TestVerify:
     def test_subgroup_k_rejected(self):
         with pytest.raises(ValueError):
             verify_parabolic_vertices(Subgroup.K)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_k_orbit_family_is_the_direct_k_family(self, kind):
+        assert _k_direct_family(kind) == build_families(kind)[(Subgroup.K, TransformType.DIRECT)]
+
+    def test_verify_builds_no_family_table(self, monkeypatch):
+        def refuse(kind):
+            raise AssertionError("verify must not build all 15 families")
+
+        monkeypatch.setattr(ephgeom, "build_families", refuse)
+        _k_direct_family.cache_clear()
+        _vertex_check_family.cache_clear()
+        config = JobConfig(kinds=list(MetricKind), subs=list(Subgroup))
+        assert run_verify(config, out=io.StringIO())
 
     def test_fit_focal_length(self):
         rep = verify_parabolic_vertices(Subgroup.A)

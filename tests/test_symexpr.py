@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from cliffeph import (
     ExprError,
@@ -25,7 +26,8 @@ from cliffeph import (
     symbols,
     to_str,
 )
-from cliffeph.symexpr import ONE, ZERO, Pow, pow_
+from cliffeph.symexpr import ONE, ZERO, Pow, add, mul, pow_
+from conftest import reference_key
 
 x, y, t = symbols("x y t")
 
@@ -193,3 +195,77 @@ def test_to_str_round_trippable_syntax():
     e = x ** 2 + rational(1, 2) * y
     s = to_str(e)
     assert eval(s, {"x": 3.0, "y": 4.0}) == pytest.approx(11.0)
+
+
+# Random expression trees for the kernel properties: x, y and small
+# rationals combined by sin/cos/exp, add, mul and rational powers.  A draw
+# whose construction divides by zero is skipped.
+
+
+def _skip_zero_division(build):
+    def go(args):
+        try:
+            return build(*args)
+        except ZeroDivisionError:
+            reject()
+
+    return go
+
+
+def _branches(kids):
+    operands = st.lists(kids, min_size=2, max_size=3)
+    return st.one_of(
+        st.tuples(st.sampled_from([sin, cos, exp]), kids).map(lambda p: p[0](p[1])),
+        operands.map(_skip_zero_division(add)),
+        operands.map(_skip_zero_division(mul)),
+        st.tuples(kids, st.sampled_from([-2, -1, 2, Fraction(1, 2)])).map(
+            _skip_zero_division(pow_)
+        ),
+    )
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+trees = st.recursive(
+    st.sampled_from([x, y]) | small_fractions.map(rational), _branches, max_leaves=8
+)
+
+
+def _outcome(op, args):
+    try:
+        e = op(*args)
+    except ZeroDivisionError:
+        return None
+    return e, to_str(e), hash(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(trees, min_size=2, max_size=4), st.sampled_from([add, mul]))
+def test_add_and_mul_ignore_argument_order(args, op):
+    first = _outcome(op, args)
+    for perm in itertools.permutations(args):
+        assert _outcome(op, perm) == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+def test_stored_key_matches_reference_walker(e):
+    assert e._key == reference_key(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+def test_normal_is_idempotent(e):
+    n = normal(e)
+    assert normal(n) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees, small_fractions, small_fractions)
+def test_subs_commutes_with_evalf(e, q, yv):
+    try:
+        lhs = evalf(subs(e, {x: rational(q)}), {"y": float(yv)})
+    except ZeroDivisionError:
+        reject()
+    rhs = evalf(e, {"x": float(q), "y": float(yv)})
+    if math.isfinite(lhs) and math.isfinite(rhs):
+        assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
