@@ -86,10 +86,13 @@ class Multivector:
     def __init__(self, metric, terms):
         clean = {}
         for blade, coeff in terms.items():
-            if any(k >= metric.n for k in blade):
+            blade = tuple(blade)
+            if any(not 0 <= k < metric.n for k in blade):
                 raise IndexError("blade %r outside dimension %d" % (blade, metric.n))
+            if any(i >= j for i, j in zip(blade, blade[1:])):
+                raise ValueError("blade %r is not strictly increasing" % (blade,))
             if coeff != ZERO:
-                clean[tuple(blade)] = coeff
+                clean[blade] = coeff
         self.metric = metric
         self.terms = clean
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -21,14 +21,4 @@ class CurveRecord:
     pen_width_hint: float
 
 
-FIELDS = (
-    "curve_id",
-    "kind",
-    "transform",
-    "u",
-    "v",
-    "du",
-    "dv",
-    "color_grade",
-    "pen_width_hint",
-)
+FIELDS = tuple(f.name for f in fields(CurveRecord))

@@ -16,7 +16,7 @@ from . import symexpr as sx
 from .cliffalg import MetricSpec, clifford_units, dirac_ONE
 from .curves import CurveRecord
 from .moebius import CMat2, clifford_moebius_map, mat_mul
-from .symexpr import cos, cosh, diff, evalf, exp, normal, sin, sinh, subs, symbol
+from .symexpr import cos, diff, evalf, exp, normal, sin, subs, symbol
 
 
 class MetricKind(IntEnum):
@@ -97,8 +97,6 @@ X = symbol("x")
 Y = symbol("y")
 T = symbol("t")
 A_PARAM = symbol("a")
-TR_U = symbol("U")
-TR_V = symbol("V")
 
 
 @lru_cache(maxsize=None)
@@ -166,31 +164,36 @@ class MoebiusFamily:
 
 
 @lru_cache(maxsize=None)
+def _family(kind, sub, ttype):
+    """The Moebius family of one subgroup under one transform type: the
+    operator images conjugate the exponential by a Cayley matrix, the
+    point images compose it with one."""
+    kind, sub, ttype = MetricKind(kind), Subgroup(sub), TransformType(ttype)
+    mat = subgroup_exp(sub, T, kind)
+    if ttype != TransformType.DIRECT:
+        cay = cayley_matrices(kind)
+        left, right = {
+            TransformType.CAYLEY_OP: (cay.C, cay.CI),
+            TransformType.CAYLEY1_OP: (cay.C1, cay.C1I),
+            TransformType.CAYLEY_POINT: (cay.C, None),
+            TransformType.CAYLEY1_POINT: (cay.C1, None),
+        }[ttype]
+        mat = mat_mul(left, mat)
+        if right is not None:
+            mat = mat_mul(mat, right)
+    try:
+        u, v = clifford_moebius_map(mat, (X, Y), metric_for(kind))
+    except Exception as err:
+        raise RuntimeError(
+            "family (%s, %s, %s) failed: %s" % (sub.name, ttype.name, kind.name, err)
+        ) from err
+    return MoebiusFamily(u, v)
+
+
+@lru_cache(maxsize=None)
 def build_families(kind):
     """All 15 (subgroup x transform type) Moebius families for one metric."""
-    kind = MetricKind(kind)
-    metric = metric_for(kind)
-    cay = cayley_matrices(kind)
-    out = {}
-    for sub in Subgroup:
-        ex_mat = subgroup_exp(sub, T, kind)
-        mats = {
-            TransformType.DIRECT: ex_mat,
-            TransformType.CAYLEY_OP: mat_mul(mat_mul(cay.C, ex_mat), cay.CI),
-            TransformType.CAYLEY1_OP: mat_mul(mat_mul(cay.C1, ex_mat), cay.C1I),
-            TransformType.CAYLEY_POINT: mat_mul(cay.C, ex_mat),
-            TransformType.CAYLEY1_POINT: mat_mul(cay.C1, ex_mat),
-        }
-        for ttype, mat in mats.items():
-            try:
-                u, v = clifford_moebius_map(mat, (X, Y), metric)
-            except Exception as err:
-                raise RuntimeError(
-                    "family (%s, %s, %s) failed: %s"
-                    % (sub.name, ttype.name, kind.name, err)
-                ) from err
-            out[(sub, ttype)] = MoebiusFamily(u, v)
-    return out
+    return {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ class FieldData:
     du: sx.Expr
     dv: sx.Expr
     jacobian: tuple       # ((du/dx, du/dy), (dv/dx, dv/dy)) of the point family
-    trans_u: sx.Expr      # jacobian applied to the symbolic column (U, V)
+    trans_u: sx.Expr      # jacobian applied to the subgroup's transverse seed
     trans_v: sx.Expr
 
 
@@ -211,6 +214,9 @@ def vector_fields(kind):
     out = {}
     zero_t = {T: 0}
     for sub in Subgroup:
+        # the rotation field (-y, x) crosses the A-orbits, the vertical
+        # unit vector the N- and K-orbits
+        s0, s1 = (-Y, X) if sub == Subgroup.A else (sx.ZERO, sx.ONE)
         for slot in range(3):
             dfam = fams[(sub, _FIELD_FAMILY[slot])]
             jfam = fams[(sub, _STREAM_FAMILY[slot])]
@@ -220,8 +226,8 @@ def vector_fields(kind):
                 (diff(jfam.u, X), diff(jfam.u, Y)),
                 (diff(jfam.v, X), diff(jfam.v, Y)),
             )
-            tu = normal(jac[0][0] * TR_U + jac[0][1] * TR_V)
-            tv = normal(jac[1][0] * TR_U + jac[1][1] * TR_V)
+            tu = normal(jac[0][0] * s0 + jac[0][1] * s1)
+            tv = normal(jac[1][0] * s0 + jac[1][1] * s1)
             out[(sub, slot)] = FieldData(du, dv, jac, tu, tv)
     return out
 
@@ -230,11 +236,10 @@ def vector_fields(kind):
 def curvature(kind, slot=0):
     """Signed curvature of the K-orbit family in slot 0..2 and its
     restriction to the v-axis (x = 0)."""
-    kind = MetricKind(kind)
-    fam = build_families(kind)[(Subgroup.K, _FIELD_FAMILY[slot])]
+    fam = _family(kind, Subgroup.K, _FIELD_FAMILY[slot])
+    field = vector_fields(kind)[(Subgroup.K, slot)]
+    du, dv = field.du, field.dv
     zero_t = {T: 0}
-    du = subs(diff(fam.u, T), zero_t)
-    dv = subs(diff(fam.v, T), zero_t)
     ddu = subs(diff(fam.u, T, 2), zero_t)
     ddv = subs(diff(fam.v, T, 2), zero_t)
     k = normal((ddu * dv - du * ddv) * (du * du + dv * dv) ** Fraction(-3, 2))
@@ -370,26 +375,12 @@ def sample_orbits(kind, sub):
     )
 
 
-def _transverse_seed(sub):
-    if sub == Subgroup.A:
-        return {TR_U: -Y, TR_V: X}
-    return {TR_U: sx.ZERO, TR_V: sx.ONE}
-
-
 def sample_transverses(kind, sub):
     """Curves crossing the orbit family: the parameter is fixed per curve
     while the origin sweeps the orbit seeds."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
     fields = vector_fields(kind)
-    seed = _transverse_seed(sub)
-    trans = [
-        (
-            normal(subs(fields[(sub, i)].trans_u, seed)),
-            normal(subs(fields[(sub, i)].trans_v, seed)),
-        )
-        for i in range(3)
-    ]
     origins = _orbit_origins(sub, kind)
     curves = [
         (1.2, [{"x": x0, "y": y0, "t": t} for x0, y0 in origins])
@@ -397,7 +388,8 @@ def sample_transverses(kind, sub):
     ]
 
     def direction(i, env, u, v):
-        return _transverse_direction(evalf(trans[i][0], env), evalf(trans[i][1], env))
+        f = fields[(sub, i)]
+        return _transverse_direction(evalf(f.trans_u, env), evalf(f.trans_v, env))
 
     return _sample_streams(kind, sub, "transverse", curves, direction, 0.5)
 
@@ -407,31 +399,16 @@ ARROW_GRID_ROWS = range(0, 11)
 
 
 def sample_arrows(kind, sub):
-    """The direct vector field on a fixed grid, one record per grid node."""
-    kind = MetricKind(kind)
-    sub = Subgroup(sub)
-    field = vector_fields(kind)[(sub, 0)]
-    records = []
-    arrow_id = 0
-    for k in ARROW_GRID_COLS:
-        for j in ARROW_GRID_ROWS:
-            u = k / 3.0
-            v = j / 3.0
-            du, dv = _field_at(field, u, v)
-            records.append(
-                CurveRecord(
-                    curve_id=arrow_id,
-                    kind="arrow",
-                    transform=TransformType.DIRECT.label,
-                    u=u,
-                    v=v,
-                    du=du,
-                    dv=dv,
-                    color_grade=0.6,
-                    pen_width_hint=1.5,
-                )
-            )
-            arrow_id += 1
+    """The direct vector field on a fixed grid, one record per grid node:
+    each node is a one-point curve of the identity map."""
+    field = vector_fields(MetricKind(kind))[(Subgroup(sub), 0)]
+    curves = [
+        (0.6, [{"x": k / 3.0, "y": j / 3.0}]) for k in ARROW_GRID_COLS for j in ARROW_GRID_ROWS
+    ]
+    [records] = _sample(
+        "arrow", [(TransformType.DIRECT.label, X, Y)], curves, lambda i, u, v: True,
+        lambda i, env, u, v: _field_at(field, u, v), 1.5,
+    )
     return records
 
 
@@ -517,15 +494,8 @@ _K_CHECK_LABELS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _k_direct_family(kind):
-    """The direct K family alone: the focal checks need none of the other 14."""
-    u, v = clifford_moebius_map(subgroup_exp(Subgroup.K, T, kind), (X, Y), metric_for(kind))
-    return MoebiusFamily(u, v)
-
-
 def _k_orbit_nodes(kind, v0):
-    fam = _k_direct_family(kind)
+    fam = _family(kind, Subgroup.K, TransformType.DIRECT)
     nodes = []
     for tval in _node_parameters(Subgroup.K, kind)[1:-1]:  # sweep endpoints excluded
         u, v = fam.at(0.0, v0, tval)

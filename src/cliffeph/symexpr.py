@@ -553,7 +553,8 @@ def _ev(e, env):
     try:
         return getattr(math, e.name)(x)
     except OverflowError:
-        return math.inf
+        # exp and cosh overflow to +inf; sinh, the odd one, keeps x's sign
+        return math.copysign(math.inf, x) if e.name == "sinh" else math.inf
     except ValueError:
         return math.nan
 

@@ -60,6 +60,15 @@ class TestUnits:
         s = remove_dirac_ONE(e0 * e1 + e1 * e0)
         assert s == rational(2) * g
 
+    @pytest.mark.parametrize(
+        "blade,error", [((1, 0), ValueError), ((0, 0), ValueError), ((-1,), IndexError)]
+    )
+    def test_non_canonical_blade_rejected(self, blade, error):
+        # (1, 0) would be a second, unequal spelling of -e0e1 and (-1,)
+        # a generator that does not exist
+        with pytest.raises(error):
+            Multivector(HYPERBOLIC, {blade: ONE})
+
     def test_metric_mismatch_raises(self):
         with pytest.raises(MetricMismatchError):
             clifford_unit(0, ELLIPTIC) * clifford_unit(0, HYPERBOLIC)

@@ -7,12 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from cliffeph import (
     DEFAULT_TUNING,
+    CMat2,
     JobConfig,
     MetricKind,
     Subgroup,
     TransformType,
     build_families,
     cayley_matrices,
+    clifford_moebius_map,
+    clifford_units,
     curvature,
     dirac_ONE,
     evalf,
@@ -32,7 +35,7 @@ from cliffeph import (
     verify_parabolic_vertices,
 )
 from cliffeph import ephgeom
-from cliffeph.ephgeom import _fit_parabola_exact, _k_direct_family, _vertex_check_family
+from cliffeph.ephgeom import _family, _fit_parabola_exact, _vertex_check_family
 from cliffeph.plotcli import run_verify
 from cliffeph.symexpr import ZERO, SingularSystemError, as_fraction_value, lsolve
 
@@ -155,13 +158,14 @@ class TestVectorFields:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_transverse_is_jacobian_vector_product(self, kind):
+        # the A-orbits are crossed along the rotation field (-y, x)
         fields = vector_fields(kind)
         f = fields[(Subgroup.A, 1)]
-        env = {"x": 0.4, "y": 1.3, "t": 0.3, "U": 0.8, "V": -0.2}
+        env = {"x": 0.4, "y": 1.3, "t": 0.3}
         tu = evalf(f.trans_u, env)
         ju = (
-            evalf(f.jacobian[0][0], env) * env["U"]
-            + evalf(f.jacobian[0][1], env) * env["V"]
+            evalf(f.jacobian[0][0], env) * -env["y"]
+            + evalf(f.jacobian[0][1], env) * env["x"]
         )
         assert tu == pytest.approx(ju, rel=1e-9, abs=1e-12)
 
@@ -275,17 +279,48 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_k_orbit_family_is_the_direct_k_family(self, kind):
-        assert _k_direct_family(kind) == build_families(kind)[(Subgroup.K, TransformType.DIRECT)]
+        assert _family(kind, Subgroup.K, TransformType.DIRECT) is build_families(kind)[
+            (Subgroup.K, TransformType.DIRECT)
+        ]
 
     def test_verify_builds_no_family_table(self, monkeypatch):
         def refuse(kind):
             raise AssertionError("verify must not build all 15 families")
 
+        # clearing the table too keeps its entries the cached families
+        ephgeom.build_families.cache_clear()
         monkeypatch.setattr(ephgeom, "build_families", refuse)
-        _k_direct_family.cache_clear()
+        _family.cache_clear()
         _vertex_check_family.cache_clear()
         config = JobConfig(kinds=list(MetricKind), subs=list(Subgroup))
         assert run_verify(config, out=io.StringIO())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("v0", [Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5, 3)])
+    def test_k_orbit_is_the_exact_cycle(self, kind, v0):
+        # With the half-angle parametrization cos t = (1 - s^2)/(1 + s^2),
+        # sin t = 2s/(1 + s^2) the K-orbit through (0, v0) is rational in s
+        # and lies on the cycle u^2 - sigma v^2 - 2 n v + 1 = 0 exactly.
+        (s,) = symbols("s")
+        cos_t = (1 - s ** 2) / (1 + s ** 2)
+        sin_t = 2 * s / (1 + s ** 2)
+        metric = metric_for(kind)
+        e0, _ = clifford_units(metric)
+        one = dirac_ONE(metric)
+        k_mat = CMat2(one.scale(cos_t), e0.scale(sin_t), e0.scale(sin_t), one.scale(cos_t))
+        u, v = clifford_moebius_map(k_mat, (rational(0), rational(v0)), metric)
+        sigma = kind.sigma
+        n = (1 - sigma * v0 ** 2) / (2 * v0)
+        family = _family(kind, Subgroup.K, TransformType.DIRECT)
+        for sval in (Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(-3, 4), Fraction(5)):
+            pu = as_fraction_value(subs(u, {s: rational(sval)}))
+            pv = as_fraction_value(subs(v, {s: rational(sval)}))
+            assert pu ** 2 - sigma * pv ** 2 - 2 * n * pv + 1 == Fraction(0)
+            wrong_n = n + Fraction(1, 7)
+            assert pu ** 2 - sigma * pv ** 2 - 2 * wrong_n * pv + 1 != 0
+            # the program's K family passes through the same point
+            fu, fv = family.at(0.0, float(v0), 2 * math.atan(sval))
+            assert (fu, fv) == pytest.approx((float(pu), float(pv)), rel=1e-9, abs=1e-12)
 
     def test_fit_focal_length(self):
         rep = verify_parabolic_vertices(Subgroup.A)

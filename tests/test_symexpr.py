@@ -120,6 +120,11 @@ class TestSubsEvalf:
     def test_evalf_division_by_zero_is_inf(self):
         assert math.isinf(evalf(pow_(x, -1), {"x": 0.0}))
 
+    @pytest.mark.parametrize("value", [1000.0, -1000.0])
+    def test_evalf_overflow_keeps_the_sign_of_sinh(self, value):
+        assert evalf(sinh(x), {"x": value}) == math.copysign(math.inf, value)
+        assert evalf(cosh(x), {"x": value}) == math.inf
+
     def test_evalf_transcendentals(self):
         e = sin(t) ** 2 + cos(t) ** 2
         assert evalf(e, {"t": 0.7}) == pytest.approx(1.0)
