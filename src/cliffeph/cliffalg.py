@@ -78,6 +78,17 @@ def _check_same_metric(a, b):
         raise MetricMismatchError("multivectors live over different metrics")
 
 
+def _canonical_blade(blade, metric):
+    """The blade as a tuple of generator indices; raises unless they are
+    strictly increasing and inside the metric's dimension."""
+    blade = tuple(blade)
+    if any(not 0 <= k < metric.n for k in blade):
+        raise IndexError("blade %r outside dimension %d" % (blade, metric.n))
+    if any(i >= j for i, j in zip(blade, blade[1:])):
+        raise ValueError("blade %r is not strictly increasing" % (blade,))
+    return blade
+
+
 class Multivector:
     """Immutable association blade -> coefficient over one MetricSpec."""
 
@@ -86,11 +97,7 @@ class Multivector:
     def __init__(self, metric, terms):
         clean = {}
         for blade, coeff in terms.items():
-            blade = tuple(blade)
-            if any(not 0 <= k < metric.n for k in blade):
-                raise IndexError("blade %r outside dimension %d" % (blade, metric.n))
-            if any(i >= j for i, j in zip(blade, blade[1:])):
-                raise ValueError("blade %r is not strictly increasing" % (blade,))
+            blade = _canonical_blade(blade, metric)
             if coeff != ZERO:
                 clean[blade] = coeff
         self.metric = metric
@@ -144,10 +151,7 @@ class Multivector:
     # -- inspection --------------------------------------------------------
 
     def coeff(self, blade):
-        return self.terms.get(tuple(blade), ZERO)
-
-    def grades(self):
-        return sorted({len(b) for b in self.terms})
+        return self.terms.get(_canonical_blade(blade, self.metric), ZERO)
 
     def is_zero(self):
         return not self.terms

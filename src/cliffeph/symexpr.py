@@ -7,7 +7,10 @@ form, so structural equality of two expressions implies they agree
 numerically under every assignment of their symbols.
 
 Division is represented as a power with a negative exponent; floats only
-appear when :func:`evalf` is called.
+appear when :func:`evalf` is called.  It compiles each expression once,
+on first use, to straight-line Python with one assignment per distinct
+node of the expression DAG (shared graph), so a subexpression shared by
+many terms is computed once per call however large the tree is.
 
 Identity lives in one place: every node stores its term-order key
 ``_key``, a tuple built once from its children's stored keys.  ``==``
@@ -78,15 +81,6 @@ class Expr:
 
     def __pos__(self):
         return self
-
-    def diff(self, sym, order=1):
-        return diff(self, sym, order)
-
-    def subs(self, binding):
-        return subs(self, binding)
-
-    def evalf(self, env=None):
-        return evalf(self, env)
 
     def __repr__(self):
         return to_str(self)
@@ -520,60 +514,130 @@ def _subs(e, b):
 def evalf(e, env=None):
     """IEEE double evaluation; raises FreeSymbolError on unbound symbols.
 
-    ``env`` maps symbol names to floats; infinities propagate rather than
-    raising, and invalid operations yield NaN.
+    ``env`` maps symbol names (or Symbols) to floats; infinities propagate
+    rather than raising, and invalid operations yield NaN.  The first call
+    on an expression compiles it (see :func:`_compile`); later calls on it,
+    or on any structurally equal expression, run the cached code.
     """
     fenv = {}
     for k, v in (env or {}).items():
         fenv[_sym_name(k)] = float(v)
-    return _ev(_coerce(e), fenv)
-
-
-def _ev(e, env):
-    if isinstance(e, Rational):
-        try:
-            return float(e.value)
-        except OverflowError:
-            return math.inf if e.value > 0 else -math.inf
-    if isinstance(e, Symbol):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise FreeSymbolError("no value for symbol %r" % e.name) from None
-    if isinstance(e, Add):
-        return sum(_ev(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        r = 1.0
-        for f in e.factors:
-            r *= _ev(f, env)
-        return r
-    if isinstance(e, Pow):
-        return _fpow(_ev(e.base, env), e.exponent)
-    x = _ev(e.arg, env)
+    e = _coerce(e)
+    fn = _COMPILED.get(e)
+    if fn is None:
+        fn = _COMPILED[e] = _compile(e)
     try:
-        return getattr(math, e.name)(x)
+        return fn(fenv)
+    except KeyError as err:
+        raise FreeSymbolError("no value for symbol %r" % err.args[0]) from None
+
+
+# Compiled evaluators by expression; the key keeps its expression alive.
+_COMPILED = {}
+
+# Operands per line of a long sum or product, far below the depth at which
+# compiling a chained expression overflows the compiler's recursion limit.
+_CHAIN = 64
+
+
+def _compile(e):
+    """Straight-line Python for ``e``: one assignment per structurally
+    distinct node, so a shared subexpression is computed once per call.
+
+    A sum folds left from int 0 in term order (``0 + a + b``, what builtin
+    ``sum`` did before Python 3.12 made float sums compensated), a product
+    from 1.0; constants are float literals, ±inf when out of range.
+    """
+    lines = []
+    names = {}
+
+    def node(x):
+        if isinstance(x, Rational):
+            return _literal(x.value)
+        var = names.get(x)
+        if var is not None:
+            return var
+        if isinstance(x, (Add, Mul)):
+            start, op, kids = ("0", " + ", x.terms) if isinstance(x, Add) else ("1.0", " * ", x.factors)
+            args = [node(k) for k in kids]
+            var = names[x] = "n%d" % len(names)
+            for i in range(0, len(args), _CHAIN):
+                lines.append("%s = %s%s%s" % (var, start, op, op.join(args[i:i + _CHAIN])))
+                start = var
+            return var
+        if isinstance(x, Symbol):
+            rhs = "env[%r]" % x.name
+        elif isinstance(x, Pow):
+            base, q = node(x.base), x.exponent
+            if q.denominator == 1:
+                rhs = "_ipow(%s, %d)" % (base, q.numerator)
+            else:
+                try:
+                    rhs = "_rpow(%s, %r)" % (base, float(q))
+                except OverflowError:  # exponent beyond double range
+                    rhs = "nan if %s < 0 else inf" % base
+        else:
+            rhs = "%s(%s)" % (x.name, node(x.arg))
+        var = names[x] = "n%d" % len(names)
+        lines.append("%s = %s" % (var, rhs))
+        return var
+
+    result = node(e)
+    src = "def evaluate(env):\n%s    return %s\n" % ("".join("    %s\n" % ln for ln in lines), result)
+    scope = {}
+    exec(compile(src, "<evalf>", "exec"), _RUNTIME, scope)
+    return scope["evaluate"]
+
+
+def _literal(q):
+    try:
+        return repr(float(q))
     except OverflowError:
-        # exp and cosh overflow to +inf; sinh, the odd one, keeps x's sign
-        return math.copysign(math.inf, x) if e.name == "sinh" else math.inf
-    except ValueError:
-        return math.nan
+        return "1e999" if q > 0 else "-1e999"
 
 
-def _fpow(b, q):
+def _ipow(b, n):
+    """b ** n for an integer n: a zero base to a negative power gives +inf,
+    overflow gives ±inf with the sign of an odd power."""
     try:
-        if q.denominator == 1:
-            return b ** int(q)
-        if b < 0:
-            return math.nan
-        return math.pow(b, float(q))
+        return b ** n
     except ZeroDivisionError:
         return math.inf
     except OverflowError:
-        if b < 0 and q.denominator == 1 and int(q) % 2:
-            return -math.inf
+        return -math.inf if b < 0 and n % 2 else math.inf
+
+
+def _rpow(b, p):
+    """b ** p for a non-integer exponent p: nan for b < 0 and on a domain
+    error (a zero base to a negative power), +inf on overflow."""
+    if b < 0:
+        return math.nan
+    try:
+        return math.pow(b, p)
+    except OverflowError:
         return math.inf
     except ValueError:
         return math.nan
+
+
+def _guarded(name):
+    """math.<name> that does not raise: exp and cosh overflow to +inf, sinh,
+    the odd one, keeps x's sign, and a domain error gives nan."""
+    fn = getattr(math, name)
+
+    def guarded(x):
+        try:
+            return fn(x)
+        except OverflowError:
+            return math.copysign(math.inf, x) if name == "sinh" else math.inf
+        except ValueError:
+            return math.nan
+
+    return guarded
+
+
+_RUNTIME = {name: _guarded(name) for name in _FUNC_AT_ZERO}
+_RUNTIME.update(_ipow=_ipow, _rpow=_rpow, inf=math.inf, nan=math.nan)
 
 
 # ---------------------------------------------------------------------------

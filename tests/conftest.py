@@ -1,12 +1,14 @@
 """Shared helpers: exact matrix arithmetic over Fractions and the
 Kronecker-product faithful representation used as an independent oracle
-for the Clifford product and its involutions."""
+for the Clifford product and its involutions, plus reference walkers for
+the term-order key and the float value of an expression."""
 
+import math
 import random
 from fractions import Fraction
 
-from cliffeph import Multivector, as_fraction_value
-from cliffeph.symexpr import Func, Mul, Pow, Rational, Symbol
+from cliffeph import FreeSymbolError, Multivector, as_fraction_value
+from cliffeph.symexpr import Add, Func, Mul, Pow, Rational, Symbol
 
 
 def eye(n):
@@ -123,3 +125,47 @@ def reference_key(e):
     if isinstance(e, Mul):
         return (4, tuple(reference_key(f) for f in e.factors))
     return (5, tuple(reference_key(t) for t in e.terms))
+
+
+def reference_evalf(e, env):
+    """Float value of an expression by a recursive walk of the whole tree,
+    ``env`` mapping names to floats; the oracle for the compiled evaluator.
+    Sums fold left from int 0 in term order, products from 1.0."""
+    if isinstance(e, Rational):
+        try:
+            return float(e.value)
+        except OverflowError:
+            return math.inf if e.value > 0 else -math.inf
+    if isinstance(e, Symbol):
+        if e.name not in env:
+            raise FreeSymbolError("no value for symbol %r" % e.name)
+        return env[e.name]
+    if isinstance(e, Add):
+        r = 0
+        for t in e.terms:
+            r = r + reference_evalf(t, env)
+        return r
+    if isinstance(e, Mul):
+        r = 1.0
+        for f in e.factors:
+            r = r * reference_evalf(f, env)
+        return r
+    if isinstance(e, Pow):
+        b, q = reference_evalf(e.base, env), e.exponent
+        try:
+            if q.denominator == 1:
+                return b ** int(q)
+            return math.nan if b < 0 else math.pow(b, float(q))
+        except ZeroDivisionError:
+            return math.inf
+        except OverflowError:
+            return -math.inf if b < 0 and q.denominator == 1 and int(q) % 2 else math.inf
+        except ValueError:
+            return math.nan
+    x = reference_evalf(e.arg, env)
+    try:
+        return getattr(math, e.name)(x)
+    except OverflowError:
+        return math.copysign(math.inf, x) if e.name == "sinh" else math.inf
+    except ValueError:
+        return math.nan

@@ -1,0 +1,72 @@
+"""Check ``cliffeph all`` against the benchmark's golden manifest.
+
+Runs ``cli_main(["all", "--out", DIR])`` into a temporary directory and
+compares the printed path order, the sha256 of each of the 71 JSONL files
+and the digest of the verify report with ``bench/golden.json``.  It uses
+only the standard library and the package sources beside it, so any
+interpreter the package supports can run it without an install:
+
+    python3.12 tests/golden_check.py
+
+Prints one line per mismatch and exits 1 if there is any, else 0.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from cliffeph import cli_main  # noqa: E402
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def mismatches():
+    """Human-readable differences from the golden manifest, or []."""
+    with open(os.path.join(ROOT, "bench", "golden.json")) as fh:
+        golden = json.load(fh)
+    with tempfile.TemporaryDirectory() as out:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = cli_main(["all", "--out", out])
+        prefix = out + os.sep
+        names, report = [], []
+        for line in stdout.getvalue().splitlines(keepends=True):
+            if line.startswith(prefix):
+                names.append(line[len(prefix):].rstrip("\n"))
+            else:
+                report.append(line)
+        found = [] if status == 0 else ["exit status %d" % status]
+        if names != golden["jobs"]["all --format jsonl"]:
+            found.append("printed paths differ from the golden order")
+        found += [
+            "%s differs" % name
+            for name in names
+            if name in golden["files"] and _sha256(os.path.join(out, name)) != golden["files"][name]
+        ]
+    if hashlib.sha256("".join(report).encode()).hexdigest() != golden["verify_report"]:
+        found.append("verify report differs")
+    return found
+
+
+def main():
+    found = mismatches()
+    version = "%d.%d.%d" % sys.version_info[:3]
+    for line in found:
+        print("python %s: %s" % (version, line))
+    if not found:
+        print("python %s: output matches bench/golden.json" % version)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,6 +69,15 @@ class TestUnits:
         with pytest.raises(error):
             Multivector(HYPERBOLIC, {blade: ONE})
 
+    @pytest.mark.parametrize(
+        "blade,error", [((1, 0), ValueError), ((0, 0), ValueError), ((-1,), IndexError)]
+    )
+    def test_coeff_rejects_non_canonical_blade(self, blade, error):
+        # (e0*e1).coeff((1, 0)) used to answer 0, though (1, 0) names -e0e1
+        e0, e1 = clifford_units(HYPERBOLIC)
+        with pytest.raises(error):
+            (e0 * e1).coeff(blade)
+
     def test_metric_mismatch_raises(self):
         with pytest.raises(MetricMismatchError):
             clifford_unit(0, ELLIPTIC) * clifford_unit(0, HYPERBOLIC)

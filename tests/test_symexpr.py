@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import operator
+import struct
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,7 @@ from cliffeph import (
     to_str,
 )
 from cliffeph.symexpr import ONE, ZERO, Pow, add, mul, pow_
-from conftest import reference_key
+from conftest import reference_evalf, reference_key
 
 x, y, t = symbols("x y t")
 
@@ -116,6 +119,48 @@ class TestSubsEvalf:
     def test_evalf_unbound_raises(self):
         with pytest.raises(FreeSymbolError):
             evalf(x + y, {"x": 1.0})
+        with pytest.raises(FreeSymbolError, match="'y'"):
+            evalf(sin(y) * x, {x: 1.0})
+
+    def test_evalf_takes_symbol_keys_and_coerces_values(self):
+        e = x * y + sin(x)
+        assert evalf(e, {x: 2, y: Fraction(1, 2)}) == evalf(e, {"x": 2.0, "y": 0.5})
+        assert evalf(e, {x: 2, "y": 0.5}) == 1.0 + math.sin(2.0)
+
+    def test_evalf_sums_fold_left_in_term_order(self):
+        # a compensated sum (math.fsum, builtin sum on Python 3.12+) gives 1.0
+        a, b, c = symbols("a b c")
+        e = a + b + c
+        values = [1e16, 1.0, -1e16]
+        assert [term.name for term in e.terms] == ["a", "b", "c"]
+        assert math.fsum(values) == 1.0
+        fold = functools.reduce(operator.add, values, 0)
+        assert evalf(e, dict(zip("abc", values))) == fold == 0.0
+
+    def test_evalf_compiles_sums_longer_than_the_compiler_nests(self):
+        # one chained 0 + a + b ... of 3000 operands overflows the recursion
+        # limit of compile() on Python 3.10-3.12
+        e = add(*(rational(1, k) * x ** k for k in range(1, 3001)))
+        assert _bits(evalf(e, {"x": 0.5})) == _bits(reference_evalf(e, {"x": 0.5}))
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            rational(10 ** 400) * x,
+            rational(-(10 ** 400)) + x,
+            pow_(x, 10 ** 400),
+            pow_(x, 10 ** 400 + 1),
+            pow_(x, Fraction(10 ** 400 + 1, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("value", [-2.0, -0.0, 0.5, 2.0, math.nan])
+    def test_evalf_beyond_double_range_matches_reference_walker(self, e, value):
+        assert _bits(evalf(e, {"x": value})) == _bits(reference_evalf(e, {"x": value}))
+
+    def test_evalf_signed_zeros_follow_the_folds(self):
+        # 0 + (-0.0) + (-0.0) is +0.0, 1.0 * (-0.0) * 1.0 is -0.0
+        assert _bits(evalf(x + y, {"x": -0.0, "y": -0.0})) == _bits(0.0)
+        assert _bits(evalf(x * y, {"x": -0.0, "y": 1.0})) == _bits(-0.0)
 
     def test_evalf_division_by_zero_is_inf(self):
         assert math.isinf(evalf(pow_(x, -1), {"x": 0.0}))
@@ -203,8 +248,8 @@ def test_to_str_round_trippable_syntax():
 
 
 # Random expression trees for the kernel properties: x, y and small
-# rationals combined by sin/cos/exp, add, mul and rational powers.  A draw
-# whose construction divides by zero is skipped.
+# rationals combined by elementary functions, add, mul and rational
+# powers.  A draw whose construction divides by zero is skipped.
 
 
 def _skip_zero_division(build):
@@ -217,22 +262,40 @@ def _skip_zero_division(build):
     return go
 
 
-def _branches(kids):
+def _branches(kids, funcs=(sin, cos, exp), exponents=(-2, -1, 2, Fraction(1, 2))):
     operands = st.lists(kids, min_size=2, max_size=3)
     return st.one_of(
-        st.tuples(st.sampled_from([sin, cos, exp]), kids).map(lambda p: p[0](p[1])),
+        st.tuples(st.sampled_from(funcs), kids).map(lambda p: p[0](p[1])),
         operands.map(_skip_zero_division(add)),
         operands.map(_skip_zero_division(mul)),
-        st.tuples(kids, st.sampled_from([-2, -1, 2, Fraction(1, 2)])).map(
-            _skip_zero_division(pow_)
-        ),
+        st.tuples(kids, st.sampled_from(exponents)).map(_skip_zero_division(pow_)),
     )
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-trees = st.recursive(
-    st.sampled_from([x, y]) | small_fractions.map(rational), _branches, max_leaves=8
+leaves = st.sampled_from([x, y]) | small_fractions.map(rational)
+trees = st.recursive(leaves, _branches, max_leaves=8)
+eval_trees = st.recursive(
+    leaves,
+    functools.partial(
+        _branches,
+        funcs=(sin, cos, exp, cosh, sinh),
+        exponents=(-2, -1, 2, Fraction(1, 2), Fraction(-3, 2)),
+    ),
+    max_leaves=10,
 )
+# Signed zeros, huge and tiny magnitudes (overflow in powers, exp, sinh)
+# and the non-finite values, besides ordinary floats.
+eval_values = st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, 1e-300, 800.0, -800.0, math.inf, -math.inf, math.nan]
+) | st.floats(min_value=-5, max_value=5)
+
+
+def _bits(value):
+    """The double's bytes, so -0.0 and the infinities count; every nan is
+    one class, since CPython's own float addition gives a nan sign bit that
+    depends on whether the interpreter has specialised the instruction."""
+    return b"nan" if math.isnan(value) else struct.pack("<d", value)
 
 
 def _outcome(op, args):
@@ -274,3 +337,10 @@ def test_subs_commutes_with_evalf(e, q, yv):
     rhs = evalf(e, {"x": float(q), "y": float(yv)})
     if math.isfinite(lhs) and math.isfinite(rhs):
         assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_trees, eval_values, eval_values)
+def test_evalf_matches_reference_walker_bit_for_bit(e, xv, yv):
+    env = {"x": xv, "y": yv}
+    assert _bits(evalf(e, env)) == _bits(reference_evalf(e, env))
