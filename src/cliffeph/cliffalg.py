@@ -98,6 +98,7 @@ class Multivector:
         clean = {}
         for blade, coeff in terms.items():
             blade = _canonical_blade(blade, metric)
+            coeff = sx._coerce(coeff)
             if coeff != ZERO:
                 clean[blade] = coeff
         self.metric = metric

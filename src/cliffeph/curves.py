@@ -12,7 +12,7 @@ class CurveRecord:
 
     curve_id: int
     kind: str          # orbit | transverse | arrow | future_past
-    transform: str     # direct | cayley_op | cayley1_op | cayley_point | cayley1_point
+    transform: str     # direct | cayley_point | cayley1_point
     u: float
     v: float
     du: float

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import symexpr as sx
-from .cliffalg import MetricSpec, clifford_units, dirac_ONE
+from .cliffalg import MetricSpec, clifford_to_lst, clifford_units, dirac_ONE, lst_to_clifford
 from .curves import CurveRecord
 from .moebius import CMat2, clifford_moebius_map, mat_mul
 from .symexpr import cos, diff, evalf, exp, normal, sin, subs, symbol
@@ -45,29 +45,15 @@ class Subgroup(IntEnum):
 
 
 class TransformType(IntEnum):
+    """Image of a family; field slot and output stream i use TransformType(i)."""
+
     DIRECT = 0
-    CAYLEY_OP = 1
-    CAYLEY1_OP = 2
-    CAYLEY_POINT = 3
-    CAYLEY1_POINT = 4
+    CAYLEY_POINT = 1
+    CAYLEY1_POINT = 2
 
     @property
     def label(self):
-        return (
-            "direct",
-            "cayley_op",
-            "cayley1_op",
-            "cayley_point",
-            "cayley1_point",
-        )[int(self)]
-
-
-# The vector-field / Jacobian slots 0..2 pair the t-derivative of the
-# operator-conjugated families with the Jacobian of the point-transform
-# families that the samplers draw as output streams 0..2 (slot 0 is the
-# direct family for both).
-_FIELD_FAMILY = (TransformType.DIRECT, TransformType.CAYLEY_OP, TransformType.CAYLEY1_OP)
-_STREAM_FAMILY = (TransformType.DIRECT, TransformType.CAYLEY_POINT, TransformType.CAYLEY1_POINT)
+        return ("direct", "cayley_point", "cayley1_point")[int(self)]
 
 
 @dataclass(frozen=True)
@@ -163,24 +149,34 @@ class MoebiusFamily:
         return evalf(self.u, env), evalf(self.v, env)
 
 
+def _cayley_pair(kind, ttype):
+    """The Cayley matrix of a point image and its inverse up to a scalar."""
+    cay = cayley_matrices(kind)
+    return (cay.C, cay.CI) if ttype == TransformType.CAYLEY_POINT else (cay.C1, cay.C1I)
+
+
+def _generator(kind, sub, ttype):
+    """Lie-algebra generator X of the subgroup, the t = 0 derivative of
+    ``subgroup_exp``; for a Cayley image L X R / lam, with L R = lam I."""
+    metric = metric_for(kind)
+    e0, _ = clifford_units(metric)
+    one = dirac_ONE(metric)
+    gen = (CMat2(one, 0, 0, -one), CMat2(0, e0, 0, 0), CMat2(0, e0, e0, 0))[sub]
+    if ttype == TransformType.DIRECT:
+        return gen
+    left, right = _cayley_pair(kind, ttype)
+    lam = mat_mul(left, right).a.coeff(())
+    return mat_mul(mat_mul(left, gen), right).scale(sx.pow_(lam, -1))
+
+
 @lru_cache(maxsize=None)
 def _family(kind, sub, ttype):
-    """The Moebius family of one subgroup under one transform type: the
-    operator images conjugate the exponential by a Cayley matrix, the
-    point images compose it with one."""
+    """The Moebius family of one subgroup; a Cayley image composes the
+    exponential with the image's Cayley matrix."""
     kind, sub, ttype = MetricKind(kind), Subgroup(sub), TransformType(ttype)
     mat = subgroup_exp(sub, T, kind)
     if ttype != TransformType.DIRECT:
-        cay = cayley_matrices(kind)
-        left, right = {
-            TransformType.CAYLEY_OP: (cay.C, cay.CI),
-            TransformType.CAYLEY1_OP: (cay.C1, cay.C1I),
-            TransformType.CAYLEY_POINT: (cay.C, None),
-            TransformType.CAYLEY1_POINT: (cay.C1, None),
-        }[ttype]
-        mat = mat_mul(left, mat)
-        if right is not None:
-            mat = mat_mul(mat, right)
+        mat = mat_mul(_cayley_pair(kind, ttype)[0], mat)
     try:
         u, v = clifford_moebius_map(mat, (X, Y), metric_for(kind))
     except Exception as err:
@@ -192,7 +188,7 @@ def _family(kind, sub, ttype):
 
 @lru_cache(maxsize=None)
 def build_families(kind):
-    """All 15 (subgroup x transform type) Moebius families for one metric."""
+    """All 9 (subgroup x transform type) Moebius families for one metric."""
     return {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
 
 
@@ -209,39 +205,39 @@ class FieldData:
 
 @lru_cache(maxsize=None)
 def vector_fields(kind):
+    """Per slot, the infinitesimal action G.a w + G.b - w (G.c w + G.d) of
+    the generator G at w = x e0 + y e1, and the Jacobian of the family."""
     kind = MetricKind(kind)
     fams = build_families(kind)
+    units = clifford_units(metric_for(kind))
+    w = lst_to_clifford([X, Y], units)
     out = {}
-    zero_t = {T: 0}
     for sub in Subgroup:
         # the rotation field (-y, x) crosses the A-orbits, the vertical
         # unit vector the N- and K-orbits
         s0, s1 = (-Y, X) if sub == Subgroup.A else (sx.ZERO, sx.ONE)
-        for slot in range(3):
-            dfam = fams[(sub, _FIELD_FAMILY[slot])]
-            jfam = fams[(sub, _STREAM_FAMILY[slot])]
-            du = subs(diff(dfam.u, T), zero_t)
-            dv = subs(diff(dfam.v, T), zero_t)
+        for ttype in TransformType:
+            g = _generator(kind, sub, ttype)
+            du, dv = clifford_to_lst(g.a * w + g.b - w * (g.c * w + g.d), units)
+            jfam = fams[(sub, ttype)]
             jac = (
                 (diff(jfam.u, X), diff(jfam.u, Y)),
                 (diff(jfam.v, X), diff(jfam.v, Y)),
             )
             tu = normal(jac[0][0] * s0 + jac[0][1] * s1)
             tv = normal(jac[1][0] * s0 + jac[1][1] * s1)
-            out[(sub, slot)] = FieldData(du, dv, jac, tu, tv)
+            out[(sub, int(ttype))] = FieldData(du, dv, jac, tu, tv)
     return out
 
 
 @lru_cache(maxsize=None)
 def curvature(kind, slot=0):
-    """Signed curvature of the K-orbit family in slot 0..2 and its
-    restriction to the v-axis (x = 0)."""
-    fam = _family(kind, Subgroup.K, _FIELD_FAMILY[slot])
+    """Signed curvature of the K field's flow lines in slot 0..2 (acceleration:
+    the field differentiated along itself) and its value on the v-axis x = 0."""
     field = vector_fields(kind)[(Subgroup.K, slot)]
     du, dv = field.du, field.dv
-    zero_t = {T: 0}
-    ddu = subs(diff(fam.u, T, 2), zero_t)
-    ddv = subs(diff(fam.v, T, 2), zero_t)
+    ddu = du * diff(du, X) + dv * diff(du, Y)
+    ddv = du * diff(dv, X) + dv * diff(dv, Y)
     k = normal((ddu * dv - du * ddv) * (du * du + dv * dv) ** Fraction(-3, 2))
     k_axis = normal(subs(k, {X: 0}))
     return k, k_axis
@@ -349,12 +345,12 @@ def _sample_streams(kind, sub, kind_name, curves, direction, pen):
     """Run the sampling loop over the direct family and both Cayley-point
     images; returns {transform type: records}."""
     fams = build_families(kind)
-    streams = [(t.label, fams[(sub, t)].u, fams[(sub, t)].v) for t in _STREAM_FAMILY]
+    streams = [(t.label, fams[(sub, t)].u, fams[(sub, t)].v) for t in TransformType]
 
     def accept(i, u, v):
         return _in_limits(u, v, kind, i > 0)
 
-    return dict(zip(_STREAM_FAMILY, _sample(kind_name, streams, curves, accept, direction, pen)))
+    return dict(zip(TransformType, _sample(kind_name, streams, curves, accept, direction, pen)))
 
 
 def sample_orbits(kind, sub):

@@ -52,9 +52,6 @@ class CMat2:
     def scale(self, k):
         return CMat2(self.a.scale(k), self.b.scale(k), self.c.scale(k), self.d.scale(k))
 
-    def mul(self, other):
-        return mat_mul(self, other)
-
     def __mul__(self, other):
         if isinstance(other, CMat2):
             return mat_mul(self, other)

@@ -277,10 +277,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("orbits", "transverses", "arrows", "future-past", "verify", "all"):
         p = sub.add_parser(name)
-        p.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="all")
-        p.add_argument("--subgroup", choices=sorted(_SUBGROUP_FLAGS), default="all")
+        # each command takes only the flags it reads; the rest keep these
+        p.set_defaults(metric="all", subgroup="all", format="jsonl")
+        if name != "future-past":
+            p.add_argument("--metric", choices=sorted(_METRIC_FLAGS))
+            p.add_argument("--subgroup", choices=sorted(_SUBGROUP_FLAGS))
         p.add_argument("--out", default=".", metavar="DIR")
-        p.add_argument("--format", choices=("jsonl", "svg"), default="jsonl")
+        if name != "verify":
+            p.add_argument("--format", choices=("jsonl", "svg"))
     return parser
 
 

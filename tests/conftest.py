@@ -1,13 +1,26 @@
 """Shared helpers: exact matrix arithmetic over Fractions and the
 Kronecker-product faithful representation used as an independent oracle
-for the Clifford product and its involutions, plus reference walkers for
-the term-order key and the float value of an expression."""
+for the Clifford product and its involutions, reference walkers for the
+term-order key and the float value of an expression, and the
+operator-conjugated Moebius families that the vector fields are the
+t-derivatives of."""
 
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
-from cliffeph import FreeSymbolError, Multivector, as_fraction_value
+from cliffeph import (
+    FreeSymbolError,
+    Multivector,
+    as_fraction_value,
+    cayley_matrices,
+    clifford_moebius_map,
+    mat_mul,
+    metric_for,
+    subgroup_exp,
+    symbols,
+)
 from cliffeph.symexpr import Add, Func, Mul, Pow, Rational, Symbol
 
 
@@ -21,10 +34,6 @@ def zeros(n):
 
 def madd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mscale(k, a):
-    return [[k * x for x in row] for row in a]
 
 
 def matmul(a, b):
@@ -65,20 +74,60 @@ def generator_matrices(signs):
     return gens
 
 
+def signed_permutation(mat):
+    """(cols, signs) of a matrix whose every row holds one nonzero entry,
+    signs[i] = +-1 in column cols[i]; every Kronecker generator is one."""
+    cols, signs = [], []
+    for row in mat:
+        [(j, x)] = [(j, x) for j, x in enumerate(row) if x]
+        assert abs(x) == 1
+        cols.append(j)
+        signs.append(int(x))
+    return cols, signs
+
+
+def blade_permutation(blade, perms, dim, reverse=False):
+    """Product of the blade's generators, given as signed permutations,
+    as a signed permutation: row i of A B is row cols_A[i] of B times
+    signs_A[i]."""
+    cols, signs = list(range(dim)), [1] * dim
+    for k in (reversed(blade) if reverse else blade):
+        gc, gs = perms[k]
+        cols, signs = [gc[c] for c in cols], [s * gs[c] for s, c in zip(signs, cols)]
+    return cols, signs
+
+
+def dense_blade_matrix(blade, gens, reverse=False):
+    """Product of the blade's generators by dense matrix products; the
+    check on ``blade_permutation``."""
+    mat = eye(len(gens[0]) if gens else 1)
+    for k in (reversed(blade) if reverse else blade):
+        mat = matmul(mat, gens[k])
+    return mat
+
+
+def dense(cols, signs):
+    out = zeros(len(cols))
+    for i, (j, s) in enumerate(zip(cols, signs)):
+        out[i][j] = Fraction(s)
+    return out
+
+
 def represent(m, gens, reverse=False, negate=False):
     """Matrix of a rational-coefficient multivector; with reverse the
     generators in each blade multiply in reversed order, with negate each
-    generator enters with a minus sign."""
+    generator enters with a minus sign.  Each blade matrix is a signed
+    permutation, so it is added entry by entry."""
     dim = len(gens[0]) if gens else 1
+    perms = [signed_permutation(g) for g in gens]
     acc = zeros(dim)
     for blade, coeff in m.terms.items():
         q = as_fraction_value(coeff)
         if negate and len(blade) % 2:
             q = -q
-        mat = eye(dim)
-        for k in (reversed(blade) if reverse else blade):
-            mat = matmul(mat, gens[k])
-        acc = madd(acc, mscale(q, mat))
+        cols, signs = blade_permutation(blade, perms, dim, reverse)
+        for i, (j, s) in enumerate(zip(cols, signs)):
+            acc[i][j] += q if s > 0 else -q
     return acc
 
 
@@ -169,3 +218,17 @@ def reference_evalf(e, env):
         return math.copysign(math.inf, x) if e.name == "sinh" else math.inf
     except ValueError:
         return math.nan
+
+
+@lru_cache(maxsize=None)
+def operator_family(kind, sub, slot):
+    """(u, v) of the subgroup's Moebius family in slot 0..2 conjugated as
+    an operator, L E(t) R with (L, R) the identity, (C, CI) or (C1, C1I):
+    the vector field of the slot is its t-derivative at t = 0."""
+    x, y, t = symbols("x y t")
+    mat = subgroup_exp(sub, t, kind)
+    if slot:
+        cay = cayley_matrices(kind)
+        left, right = ((cay.C, cay.CI), (cay.C1, cay.C1I))[slot - 1]
+        mat = mat_mul(mat_mul(left, mat), right)
+    return tuple(clifford_moebius_map(mat, (x, y), metric_for(kind)))

@@ -27,7 +27,18 @@ from cliffeph import (
 )
 from cliffeph.symexpr import ONE, ZERO
 
-from conftest import generator_matrices, matmul, random_multivector, represent, make_rng
+from conftest import (
+    all_blades,
+    blade_permutation,
+    dense,
+    dense_blade_matrix,
+    generator_matrices,
+    make_rng,
+    matmul,
+    random_multivector,
+    represent,
+    signed_permutation,
+)
 
 ELLIPTIC = MetricSpec.diag(-1, -1)
 PARABOLIC = MetricSpec.diag(-1, 0)
@@ -78,6 +89,15 @@ class TestUnits:
         with pytest.raises(error):
             (e0 * e1).coeff(blade)
 
+    def test_constructor_coerces_coefficients(self):
+        # plain numbers used to be stored as given: a zero 0 was kept as a
+        # term and 1 made a multivector unequal to dirac_ONE
+        assert Multivector(HYPERBOLIC, {(): 0}).is_zero()
+        assert Multivector(HYPERBOLIC, {(): 1}) == dirac_ONE(HYPERBOLIC)
+        assert Multivector(HYPERBOLIC, {(0,): Fraction(3, 2)}).coeff((0,)) == rational(3, 2)
+        with pytest.raises(TypeError):
+            Multivector(HYPERBOLIC, {(0,): "a"})
+
     def test_metric_mismatch_raises(self):
         with pytest.raises(MetricMismatchError):
             clifford_unit(0, ELLIPTIC) * clifford_unit(0, HYPERBOLIC)
@@ -123,6 +143,21 @@ class TestMatrixOracle:
             lhs = represent(a * b, gens)
             rhs = matmul(represent(a, gens), represent(b, gens))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("signs", [
+        (-1,), (1,), (-1, -1), (-1, 1), (1, 1), (-1, -1, -1), (-1, 1, 1),
+        (-1, -1, 1), (1, -1, 1),
+    ])
+    def test_signed_permutation_blades_equal_dense_products(self, signs):
+        # the oracle's fast blade matrices against the dense Kronecker
+        # products, in both multiplication orders
+        gens = generator_matrices(signs)
+        perms = [signed_permutation(g) for g in gens]
+        dim = len(gens[0])
+        for blade in all_blades(len(signs)):
+            for reverse in (False, True):
+                fast = blade_permutation(blade, perms, dim, reverse)
+                assert dense(*fast) == dense_blade_matrix(blade, gens, reverse)
 
     def test_involutions_against_representation(self):
         signs = (-1, 1)

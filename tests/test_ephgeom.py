@@ -17,6 +17,7 @@ from cliffeph import (
     clifford_moebius_map,
     clifford_units,
     curvature,
+    diff,
     dirac_ONE,
     evalf,
     mat_mul,
@@ -38,6 +39,8 @@ from cliffeph import ephgeom
 from cliffeph.ephgeom import _family, _fit_parabola_exact, _vertex_check_family
 from cliffeph.plotcli import run_verify
 from cliffeph.symexpr import ZERO, SingularSystemError, as_fraction_value, lsolve
+
+from conftest import operator_family
 
 x, y, t = symbols("x y t")
 
@@ -138,9 +141,9 @@ class TestFamilies:
             assert abs(u) <= 1e-9 and abs(v - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_all_fifteen_families_built(self, kind):
+    def test_all_nine_families_built(self, kind):
         fams = build_families(kind)
-        assert len(fams) == 15
+        assert len(fams) == 9
 
 
 class TestVectorFields:
@@ -168,6 +171,30 @@ class TestVectorFields:
             + evalf(f.jacobian[0][1], env) * env["x"]
         )
         assert tu == pytest.approx(ju, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestFieldsFromGenerators:
+    """The fields and curvatures taken from the Lie-algebra generators are
+    the very expressions the t-derivatives of the operator-conjugated
+    families give."""
+
+    def test_field_is_t_derivative_of_operator_family(self, kind):
+        fields = vector_fields(kind)
+        for sub in SUBS:
+            for slot in range(3):
+                u, v = operator_family(kind, sub, slot)
+                f = fields[(sub, slot)]
+                assert f.du == subs(diff(u, t), {t: 0}), (sub, slot)
+                assert f.dv == subs(diff(v, t), {t: 0}), (sub, slot)
+
+    def test_curvature_is_second_t_derivative_formula(self, kind):
+        for slot in range(3):
+            u, v = operator_family(kind, Subgroup.K, slot)
+            du, dv = (subs(diff(c, t), {t: 0}) for c in (u, v))
+            ddu, ddv = (subs(diff(c, t, 2), {t: 0}) for c in (u, v))
+            k = normal((ddu * dv - du * ddv) * (du * du + dv * dv) ** Fraction(-3, 2))
+            assert curvature(kind, slot) == (k, normal(subs(k, {x: 0}))), slot
 
 
 class TestCurvature:
@@ -285,7 +312,7 @@ class TestVerify:
 
     def test_verify_builds_no_family_table(self, monkeypatch):
         def refuse(kind):
-            raise AssertionError("verify must not build all 15 families")
+            raise AssertionError("verify must not build the family table")
 
         # clearing the table too keeps its entries the cached families
         ephgeom.build_families.cache_clear()

@@ -13,7 +13,7 @@ from cliffeph import MetricKind, build_families, cli_main, curvature, to_str, ve
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
 
 
-SYMBOLIC_BUILD_SHA256 = "f4041ae46c866fa72ef844f8dba75dbf82843d34abb3413e5ef7a0a8f830f7ed"
+SYMBOLIC_BUILD_SHA256 = "0de482ef16b5c725b46d20d8d9e6f36c6c5dd519d508eb6a0fbffb083fcddc0b"
 
 
 def _sha256(path):

@@ -8,7 +8,7 @@ import pytest
 from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, write_curves
 from cliffeph.curves import FIELDS
 from cliffeph.ephgeom import MetricKind, Subgroup
-from cliffeph.plotcli import run_verify
+from cliffeph.plotcli import _build_parser, run_verify
 
 
 def _rec(i=0, kind="orbit", u=0.5, v=1.5, **kw):
@@ -127,6 +127,27 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["orbits", "--metric", "q"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["future-past", "--metric", "e"],
+        ["future-past", "--subgroup", "K"],
+        ["verify", "--format", "svg"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        # future-past draws hyperbolic frames whatever --metric says, and
+        # verify writes no file to format
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--out", str(tmp_path / "new")])
+        assert exc.value.code == 2
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["future-past", "--format", "svg", "--out", "d"],
+        ["verify", "--metric", "all", "--out", "d"],
+    ])
+    def test_benchmark_command_lines_parse(self, argv):
+        args = _build_parser().parse_args(argv)
+        assert args.out == "d"
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
