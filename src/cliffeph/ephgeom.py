@@ -194,39 +194,36 @@ def build_families(kind):
 
 @dataclass(frozen=True)
 class FieldData:
-    """Vector field, Jacobian and transverse direction for one slot 0..2."""
+    """Vector field and transverse direction for one slot 0..2."""
 
     du: sx.Expr
     dv: sx.Expr
-    jacobian: tuple       # ((du/dx, du/dy), (dv/dx, dv/dy)) of the point family
-    trans_u: sx.Expr      # jacobian applied to the subgroup's transverse seed
+    trans_u: sx.Expr      # the family's derivative along the subgroup's seed
     trans_v: sx.Expr
 
 
 @lru_cache(maxsize=None)
 def vector_fields(kind):
     """Per slot, the infinitesimal action G.a w + G.b - w (G.c w + G.d) of
-    the generator G at w = x e0 + y e1, and the Jacobian of the family."""
+    the generator G at w = x e0 + y e1, and the transverse direction: the
+    family differentiated along a seed field that crosses its orbits."""
     kind = MetricKind(kind)
     fams = build_families(kind)
     units = clifford_units(metric_for(kind))
     w = lst_to_clifford([X, Y], units)
     out = {}
     for sub in Subgroup:
-        # the rotation field (-y, x) crosses the A-orbits, the vertical
-        # unit vector the N- and K-orbits
-        s0, s1 = (-Y, X) if sub == Subgroup.A else (sx.ZERO, sx.ONE)
         for ttype in TransformType:
             g = _generator(kind, sub, ttype)
             du, dv = clifford_to_lst(g.a * w + g.b - w * (g.c * w + g.d), units)
-            jfam = fams[(sub, ttype)]
-            jac = (
-                (diff(jfam.u, X), diff(jfam.u, Y)),
-                (diff(jfam.v, X), diff(jfam.v, Y)),
-            )
-            tu = normal(jac[0][0] * s0 + jac[0][1] * s1)
-            tv = normal(jac[1][0] * s0 + jac[1][1] * s1)
-            out[(sub, int(ttype))] = FieldData(du, dv, jac, tu, tv)
+            fam = fams[(sub, ttype)]
+            if sub == Subgroup.A:
+                # the rotation field (-y, x) crosses the A-orbits
+                tu, tv = (normal(-Y * diff(c, X) + X * diff(c, Y)) for c in (fam.u, fam.v))
+            else:
+                # the vertical unit vector crosses the N- and K-orbits
+                tu, tv = (normal(diff(c, Y)) for c in (fam.u, fam.v))
+            out[(sub, int(ttype))] = FieldData(du, dv, tu, tv)
     return out
 
 

@@ -197,8 +197,8 @@ def write_curves(records, path, fmt="jsonl", limits=None):
 
 
 def run_pipeline(name, config):
-    """Sample one pipeline and write its files; returns their paths in
-    writing order."""
+    """Sample one pipeline and write its files, yielding each path as soon
+    as its file is written."""
     sampler, stems = PIPELINE_STEMS[name]
     if name == "future-past":
         jobs = [()]
@@ -206,7 +206,6 @@ def run_pipeline(name, config):
     else:
         jobs = [(kind, sub) for kind in config.kinds for sub in config.subs]
         limits = None
-    written = []
     for job in jobs:
         result = globals()[sampler](*job)
         for key, stem in stems.items():
@@ -216,8 +215,7 @@ def run_pipeline(name, config):
                 fname = "%s.%s" % (stem, config.fmt)
             path = os.path.join(config.out_dir, fname)
             write_curves(result if key is None else result[key], path, config.fmt, limits)
-            written.append(path)
-    return written
+            yield path
 
 
 def run_verify(config, out=None):
@@ -312,9 +310,13 @@ def cli_main(argv=None):
         if name == "verify":
             if not run_verify(config):
                 return 1
-        else:
+            continue
+        try:
             for path in run_pipeline(name, config):
                 print(path)
+        except OSError as err:  # write_curves names the file it could not write
+            print("cliffeph: error: %s" % err, file=sys.stderr)
+            return 2
     return 0
 
 

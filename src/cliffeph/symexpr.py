@@ -7,10 +7,11 @@ form, so structural equality of two expressions implies they agree
 numerically under every assignment of their symbols.
 
 Division is represented as a power with a negative exponent; floats only
-appear when :func:`evalf` is called.  It compiles each expression once,
-on first use, to straight-line Python with one assignment per distinct
-node of the expression DAG (shared graph), so a subexpression shared by
-many terms is computed once per call however large the tree is.
+appear when :func:`evalf` is called.  Expressions are DAGs (shared
+graphs): one iterative walk, :func:`_postorder`, lists each distinct node
+once, children first, and :func:`diff`, :func:`subs` and the straight-line
+Python that :func:`evalf` compiles once per expression handle each node
+once, in that order, however large the tree is.
 
 Identity lives in one place: every node stores its term-order key
 ``_key``, a tuple built once from its children's stored keys.  ``==``
@@ -421,6 +422,44 @@ def sqrt(arg):
 
 
 # ---------------------------------------------------------------------------
+# DAG traversal
+
+
+def _children(e):
+    if isinstance(e, (Add, Mul)):
+        return e.terms if isinstance(e, Add) else e.factors
+    if isinstance(e, (Pow, Func)):
+        return (e.base,) if isinstance(e, Pow) else (e.arg,)
+    return ()
+
+
+def _postorder(e):
+    """Each structurally distinct node of ``e`` once, children before
+    parents and left to right.  Iterative, so a deep expression cannot
+    exceed Python's recursion limit."""
+    order, seen, stack = [], set(), [(e, False)]
+    while stack:
+        x, expanded = stack.pop()
+        if expanded:
+            order.append(x)
+        elif x not in seen:
+            seen.add(x)
+            stack.append((x, True))
+            stack.extend((k, False) for k in reversed(_children(x)))
+    return order
+
+
+def _rewrite(e, rule):
+    """Result of ``rule(node, r)`` for ``e``, computed once per distinct
+    node in post-order; ``r(child)`` is the result already stored for a
+    child, so a rule reads its children's results instead of recursing."""
+    done = {}
+    for x in _postorder(e):
+        done[x] = rule(x, done.__getitem__)
+    return done[e]
+
+
+# ---------------------------------------------------------------------------
 # Differentiation
 
 
@@ -438,33 +477,33 @@ def diff(e, sym, order=1):
     name = _sym_name(sym)
     e = _coerce(e)
     for _ in range(order):
-        e = _d(e, name)
+        e = _rewrite(e, lambda x, d: _d(x, name, d))
     return e
 
 
-def _d(e, s):
+def _d(e, s, d):
     if isinstance(e, Rational):
         return ZERO
     if isinstance(e, Symbol):
         return ONE if e.name == s else ZERO
     if isinstance(e, Add):
-        return add(*(_d(t, s) for t in e.terms))
+        return add(*(d(t) for t in e.terms))
     if isinstance(e, Mul):
         parts = []
         fs = e.factors
         for i, fi in enumerate(fs):
-            dfi = _d(fi, s)
+            dfi = d(fi)
             if dfi == ZERO:
                 continue
             parts.append(mul(dfi, *(fs[:i] + fs[i + 1:])))
         return add(*parts) if parts else ZERO
     if isinstance(e, Pow):
-        db = _d(e.base, s)
+        db = d(e.base)
         if db == ZERO:
             return ZERO
         return mul(Rational(e.exponent), pow_(e.base, e.exponent - 1), db)
     if isinstance(e, Func):
-        da = _d(e.arg, s)
+        da = d(e.arg)
         if da == ZERO:
             return ZERO
         u = e.arg
@@ -490,21 +529,21 @@ def subs(e, binding):
         b[_sym_name(k)] = _coerce(v)
     if not b:
         return _coerce(e)
-    return _subs(_coerce(e), b)
+    return _rewrite(_coerce(e), lambda x, r: _subs(x, b, r))
 
 
-def _subs(e, b):
+def _subs(e, b, r):
     if isinstance(e, Rational):
         return e
     if isinstance(e, Symbol):
         return b.get(e.name, e)
     if isinstance(e, Add):
-        return add(*(_subs(t, b) for t in e.terms))
+        return add(*(r(t) for t in e.terms))
     if isinstance(e, Mul):
-        return mul(*(_subs(f, b) for f in e.factors))
+        return mul(*(r(f) for f in e.factors))
     if isinstance(e, Pow):
-        return pow_(_subs(e.base, b), e.exponent)
-    return _make_func(e.name, _subs(e.arg, b))
+        return pow_(r(e.base), e.exponent)
+    return _make_func(e.name, r(e.arg))
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +590,24 @@ def _compile(e):
     lines = []
     names = {}
 
-    def node(x):
+    def ref(x):
+        return _literal(x.value) if isinstance(x, Rational) else names[x]
+
+    for x in _postorder(e):
         if isinstance(x, Rational):
-            return _literal(x.value)
-        var = names.get(x)
-        if var is not None:
-            return var
+            continue
+        var = names[x] = "n%d" % len(names)
         if isinstance(x, (Add, Mul)):
             start, op, kids = ("0", " + ", x.terms) if isinstance(x, Add) else ("1.0", " * ", x.factors)
-            args = [node(k) for k in kids]
-            var = names[x] = "n%d" % len(names)
+            args = [ref(k) for k in kids]
             for i in range(0, len(args), _CHAIN):
                 lines.append("%s = %s%s%s" % (var, start, op, op.join(args[i:i + _CHAIN])))
                 start = var
-            return var
+            continue
         if isinstance(x, Symbol):
             rhs = "env[%r]" % x.name
         elif isinstance(x, Pow):
-            base, q = node(x.base), x.exponent
+            base, q = ref(x.base), x.exponent
             if q.denominator == 1:
                 rhs = "_ipow(%s, %d)" % (base, q.numerator)
             else:
@@ -577,13 +616,10 @@ def _compile(e):
                 except OverflowError:  # exponent beyond double range
                     rhs = "nan if %s < 0 else inf" % base
         else:
-            rhs = "%s(%s)" % (x.name, node(x.arg))
-        var = names[x] = "n%d" % len(names)
+            rhs = "%s(%s)" % (x.name, ref(x.arg))
         lines.append("%s = %s" % (var, rhs))
-        return var
 
-    result = node(e)
-    src = "def evaluate(env):\n%s    return %s\n" % ("".join("    %s\n" % ln for ln in lines), result)
+    src = "def evaluate(env):\n%s    return %s\n" % ("".join("    %s\n" % ln for ln in lines), ref(e))
     scope = {}
     exec(compile(src, "<evalf>", "exec"), _RUNTIME, scope)
     return scope["evaluate"]
@@ -748,17 +784,7 @@ def normal(e):
 
 
 def _contains(e, name):
-    if isinstance(e, Symbol):
-        return e.name == name
-    if isinstance(e, Add):
-        return any(_contains(t, name) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_contains(f, name) for f in e.factors)
-    if isinstance(e, Pow):
-        return _contains(e.base, name)
-    if isinstance(e, Func):
-        return _contains(e.arg, name)
-    return False
+    return any(isinstance(x, Symbol) and x.name == name for x in _postorder(e))
 
 
 def lsolve(equations, variables):

@@ -1,9 +1,9 @@
 """Shared helpers: exact matrix arithmetic over Fractions and the
 Kronecker-product faithful representation used as an independent oracle
 for the Clifford product and its involutions, reference walkers for the
-term-order key and the float value of an expression, and the
-operator-conjugated Moebius families that the vector fields are the
-t-derivatives of."""
+term-order key, the derivative, the substitution and the float value of
+an expression, and the operator-conjugated Moebius families that the
+vector fields are the t-derivatives of."""
 
 import math
 import random
@@ -21,7 +21,8 @@ from cliffeph import (
     subgroup_exp,
     symbols,
 )
-from cliffeph.symexpr import Add, Func, Mul, Pow, Rational, Symbol
+from cliffeph import symexpr
+from cliffeph.symexpr import ONE, ZERO, Add, Func, Mul, Pow, Rational, Symbol, add, mul, pow_
 
 
 def eye(n):
@@ -174,6 +175,61 @@ def reference_key(e):
     if isinstance(e, Mul):
         return (4, tuple(reference_key(f) for f in e.factors))
     return (5, tuple(reference_key(t) for t in e.terms))
+
+
+def reference_diff(e, s):
+    """Derivative of an expression by the symbol named ``s``, by a recursive
+    walk that visits a shared node once per occurrence; the oracle for
+    ``diff``, which applies the same rules once per distinct node."""
+    if isinstance(e, Rational):
+        return ZERO
+    if isinstance(e, Symbol):
+        return ONE if e.name == s else ZERO
+    if isinstance(e, Add):
+        return add(*(reference_diff(t, s) for t in e.terms))
+    if isinstance(e, Mul):
+        parts = []
+        fs = e.factors
+        for i, fi in enumerate(fs):
+            dfi = reference_diff(fi, s)
+            if dfi == ZERO:
+                continue
+            parts.append(mul(dfi, *(fs[:i] + fs[i + 1:])))
+        return add(*parts) if parts else ZERO
+    if isinstance(e, Pow):
+        db = reference_diff(e.base, s)
+        if db == ZERO:
+            return ZERO
+        return mul(Rational(e.exponent), pow_(e.base, e.exponent - 1), db)
+    da = reference_diff(e.arg, s)
+    if da == ZERO:
+        return ZERO
+    u = e.arg
+    outer = {
+        "sin": lambda: symexpr.cos(u),
+        "cos": lambda: mul(Rational(-1), symexpr.sin(u)),
+        "exp": lambda: symexpr.exp(u),
+        "cosh": lambda: symexpr.sinh(u),
+        "sinh": lambda: symexpr.cosh(u),
+    }[e.name]()
+    return mul(outer, da)
+
+
+def reference_subs(e, b):
+    """Simultaneous substitution, ``b`` mapping symbol names to
+    expressions, by a recursive walk of the whole tree; the oracle for
+    ``subs``."""
+    if isinstance(e, Rational):
+        return e
+    if isinstance(e, Symbol):
+        return b.get(e.name, e)
+    if isinstance(e, Add):
+        return add(*(reference_subs(t, b) for t in e.terms))
+    if isinstance(e, Mul):
+        return mul(*(reference_subs(f, b) for f in e.factors))
+    if isinstance(e, Pow):
+        return pow_(reference_subs(e.base, b), e.exponent)
+    return getattr(symexpr, e.name)(reference_subs(e.arg, b))
 
 
 def reference_evalf(e, env):

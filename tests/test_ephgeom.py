@@ -164,11 +164,12 @@ class TestVectorFields:
         # the A-orbits are crossed along the rotation field (-y, x)
         fields = vector_fields(kind)
         f = fields[(Subgroup.A, 1)]
+        fam = build_families(kind)[(Subgroup.A, TransformType.CAYLEY_POINT)]
         env = {"x": 0.4, "y": 1.3, "t": 0.3}
         tu = evalf(f.trans_u, env)
         ju = (
-            evalf(f.jacobian[0][0], env) * -env["y"]
-            + evalf(f.jacobian[0][1], env) * env["x"]
+            evalf(diff(fam.u, x), env) * -env["y"]
+            + evalf(diff(fam.u, y), env) * env["x"]
         )
         assert tu == pytest.approx(ju, rel=1e-9, abs=1e-12)
 

@@ -166,6 +166,24 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("cliffeph: error: ")
         assert target.read_text() == "keep"
 
+    @pytest.mark.parametrize("blocked", ["A", "K"])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, blocked):
+        # an existing directory where one output file goes
+        (tmp_path / ("arrows-%s-e.jsonl" % blocked)).mkdir()
+        code = cli_main(["arrows", "--metric", "e", "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cliffeph: error: cannot write ")
+        assert "Traceback" not in captured.err
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
+        # the files written before it are listed, and exist
+        before = "ANK"[:"ANK".index(blocked)]
+        printed = captured.out.splitlines()
+        assert printed == [str(tmp_path / ("arrows-%s-e.jsonl" % s)) for s in before]
+        assert all(os.path.isfile(p) for p in printed)
+
     def test_verify_creates_no_out_dir(self, tmp_path, capsys):
         target = tmp_path / "new"
         code = cli_main(["verify", "--metric", "p", "--subgroup", "A",

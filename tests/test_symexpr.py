@@ -29,8 +29,8 @@ from cliffeph import (
     symbols,
     to_str,
 )
-from cliffeph.symexpr import ONE, ZERO, Pow, add, mul, pow_
-from conftest import reference_evalf, reference_key
+from cliffeph.symexpr import ONE, ZERO, Pow, _postorder, add, mul, pow_
+from conftest import reference_diff, reference_evalf, reference_key, reference_subs
 
 x, y, t = symbols("x y t")
 
@@ -275,14 +275,16 @@ def _branches(kids, funcs=(sin, cos, exp), exponents=(-2, -1, 2, Fraction(1, 2))
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 leaves = st.sampled_from([x, y]) | small_fractions.map(rational)
 trees = st.recursive(leaves, _branches, max_leaves=8)
-eval_trees = st.recursive(
-    leaves,
-    functools.partial(
-        _branches,
-        funcs=(sin, cos, exp, cosh, sinh),
-        exponents=(-2, -1, 2, Fraction(1, 2), Fraction(-3, 2)),
-    ),
-    max_leaves=10,
+_eval_branches = functools.partial(
+    _branches,
+    funcs=(sin, cos, exp, cosh, sinh),
+    exponents=(-2, -1, 2, Fraction(1, 2), Fraction(-3, 2)),
+)
+eval_trees = st.recursive(leaves, _eval_branches, max_leaves=10)
+# Trees whose leaves may be one drawn subtree, so that subtree is shared
+# by several parents.
+shared_trees = eval_trees.flatmap(
+    lambda sub: st.recursive(leaves | st.just(sub), _eval_branches, max_leaves=8)
 )
 # Signed zeros, huge and tiny magnitudes (overflow in powers, exp, sinh)
 # and the non-finite values, besides ordinary floats.
@@ -344,3 +346,23 @@ def test_subs_commutes_with_evalf(e, q, yv):
 def test_evalf_matches_reference_walker_bit_for_bit(e, xv, yv):
     env = {"x": xv, "y": yv}
     assert _bits(evalf(e, env)) == _bits(reference_evalf(e, env))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_trees, trees, trees)
+def test_diff_and_subs_match_reference_walkers(e, a, b):
+    assert _outcome(diff, (e, x)) == _outcome(reference_diff, (e, "x"))
+    assert _outcome(diff, (e, y, 2)) == _outcome(
+        lambda f: reference_diff(reference_diff(f, "y"), "y"), (e,))
+    assert _outcome(subs, (e, {x: a, y: b})) == _outcome(
+        reference_subs, (e, {"x": a, "y": b}))
+
+
+def test_postorder_lists_each_distinct_node_once_children_first():
+    # sin(1 + x) is built twice as separate objects and x occurs three times
+    e = add(mul(y, sin(add(x, 1))), mul(x, sin(add(1, x))))
+    inner = add(x, 1)
+    s = sin(inner)
+    left, right = mul(x, s), mul(y, s)
+    assert e.terms == (left, right)
+    assert _postorder(e) == [x, ONE, inner, s, left, y, right, e]
