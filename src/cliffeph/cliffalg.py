@@ -321,29 +321,19 @@ def lst_to_clifford(v, units):
 
 
 def clifford_to_lst(m, units):
-    """Components v_k with m = sum v_k c_k; falls back to coefficient
-    extraction whenever some c_k squares to zero or to a non-numeric scalar."""
-    metric = m.metric
-    squares = []
+    """Components v_k with m = sum v_k c_k, on every metric.
+
+    Each unit c_k = k_k e_j must be a nonzero multiple of one generator;
+    v_k is m's e_j coefficient over k_k.  Raises NotAVectorError for any
+    other unit, or when m is not in the span of the units."""
+    comps = []
     for c in units:
         _check_same_metric(c, m)
-        sq = (c * c).coeff(())
-        squares.append(normal(sq))
-    usable = all(sx.is_rational(s) and s != ZERO for s in squares)
-    comps = []
-    if usable:
-        for c, sq in zip(units, squares):
-            sym = m * c + c * m
-            divisor = sx.pow_(sx.mul(sx.rational(2), sq), -1)
-            comps.append(normal(sx.mul(sym.coeff(()), divisor)))
-    else:
-        for c in units:
-            blades = list(c.terms)
-            if len(blades) != 1 or len(blades[0]) != 1:
-                raise NotAVectorError(
-                    "symbolic extraction needs single-generator units"
-                )
-            comps.append(m.coeff(blades[0]))
+        blade, k = next(iter(c.terms.items()), ((), ZERO))
+        if len(c.terms) != 1 or len(blade) != 1:
+            raise NotAVectorError("units must be multiples of one generator")
+        v = m.coeff(blade)
+        comps.append(v if k == ONE else sx.mul(v, sx.pow_(k, -1)))
     residual = m - lst_to_clifford(comps, units)
     if any(normal(c) != ZERO for c in residual.terms.values()):
         raise NotAVectorError("residual terms remain: %r" % (residual,))

@@ -504,6 +504,8 @@ def verify_k_orbit(kind, v0):
     if v0 <= 0:
         raise ValueError("origin ordinate must be positive")
     nodes = _k_orbit_nodes(kind, v0)
+    if not nodes:
+        raise ValueError("no finite node on the K-orbit through (0, %r)" % (v0,))
     flips = 0
     if kind == MetricKind.ELLIPTIC:
         cy = (v0 + 1 / v0) / 2

@@ -726,22 +726,20 @@ def _as_fraction(e):
 
 
 def _common_factors(num):
-    """Factors (and rational content) shared by every additive term of num."""
+    """Factors shared by every additive term of num."""
     if isinstance(num, Add):
         terms = num.terms
     else:
         terms = (num,)
-    content = Fraction(0)
     shared = None
     for t in terms:
-        coeff, mono = _split_coeff(t)
-        content = _fraction_gcd(content, abs(coeff))
+        _, mono = _split_coeff(t)
         pows = {b: x for b, x in _mul_powers(mono).items() if x > 0}
         if shared is None:
             shared = pows
         else:
             shared = {b: min(x, pows[b]) for b, x in shared.items() if b in pows}
-    return content, shared or {}
+    return shared or {}
 
 
 def normal(e):
@@ -760,7 +758,7 @@ def normal(e):
         den_coeff = den.factors[0].value
     elif isinstance(den, Rational):
         den_coeff = den.value
-    content, shared = _common_factors(num)
+    shared = _common_factors(num)
     cancel = []
     for base, x in shared.items():
         if base in den_pows:

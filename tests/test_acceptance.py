@@ -96,6 +96,8 @@ def test_criterion_02_vector_roundtrip():
         MetricSpec.diag(-1, 1),
         MetricSpec.diag(1, -1, 0, 2),
         MetricSpec.diag(1, -1, 0, -3),
+        MetricSpec([[-1, rational(1, 2)], [rational(1, 2), 1]]),
+        MetricSpec([[-1, 1], [0, 1]]),
     ]
     rng = make_rng(202)
     for metric in metrics:

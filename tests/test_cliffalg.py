@@ -215,10 +215,17 @@ class TestVectorConversion:
         v = [rational(2, 3), rational(-5)]
         assert clifford_to_lst(lst_to_clifford(v, units), units) == v
 
-    def test_roundtrip_parabolic_uses_fallback(self):
-        units = clifford_units(PARABOLIC)
+    def test_roundtrip_parabolic_symbolic(self):
+        e0, e1 = clifford_units(PARABOLIC)
         v = [rational(2), symbol("s")]
-        assert clifford_to_lst(lst_to_clifford(v, units), units) == v
+        for units in ((e0, e1), (e0.scale(2), e1.scale(rational(-1, 3)))):
+            assert clifford_to_lst(lst_to_clifford(v, units), units) == v
+
+    def test_units_must_be_multiples_of_one_generator(self):
+        e0, e1 = clifford_units(ELLIPTIC)
+        for units in ((e0 + e1, e0 - e1), (e0, e0 * e1)):
+            with pytest.raises(NotAVectorError):
+                clifford_to_lst(lst_to_clifford([rational(1), rational(2)], units), units)
 
     def test_bivector_is_not_a_vector(self):
         e0, e1 = clifford_units(ELLIPTIC)

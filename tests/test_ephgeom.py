@@ -291,6 +291,16 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_k_orbit(MetricKind.ELLIPTIC, 0.0)
 
+    @pytest.mark.parametrize(
+        "kind, v0",
+        [(kind, v0) for kind in KINDS for v0 in (math.nan, math.inf)]
+        + [(MetricKind.ELLIPTIC, 1e200), (MetricKind.HYPERBOLIC, 1e200)],
+    )
+    def test_orbit_without_finite_node_rejected(self, kind, v0):
+        with pytest.raises(ValueError) as err:
+            verify_k_orbit(kind, v0)
+        assert "(0, %r)" % v0 in str(err.value)
+
     def test_vertex_law_subgroup_a(self):
         rep = verify_parabolic_vertices(Subgroup.A)
         assert rep.fits

@@ -24,6 +24,11 @@ ELLIPTIC = MetricSpec.diag(-1, -1)
 PARABOLIC = MetricSpec.diag(-1, 0)
 HYPERBOLIC = MetricSpec.diag(-1, 1)
 METRICS = (ELLIPTIC, PARABOLIC, HYPERBOLIC)
+# a symmetric form with e0 e1 + e1 e0 = 1, and a non-symmetric one
+NON_ORTHOGONAL = (
+    MetricSpec([[-1, rational(1, 2)], [rational(1, 2), 1]]),
+    MetricSpec([[-1, 1], [0, 1]]),
+)
 
 x, y, t = symbols("x y t")
 
@@ -58,7 +63,7 @@ class TestCMat2:
 
 
 class TestMoebiusMap:
-    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("metric", METRICS + NON_ORTHOGONAL)
     def test_identity_map(self, metric):
         u, v = clifford_moebius_map(CMat2.identity(metric), (x, y), metric)
         assert u == x

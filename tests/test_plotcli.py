@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
 
+import cliffeph
 from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, write_curves
 from cliffeph.curves import FIELDS
 from cliffeph.ephgeom import MetricKind, Subgroup
@@ -190,6 +193,17 @@ class TestCli:
                          "--out", str(target)])
         assert code == 0
         assert os.listdir(tmp_path) == []
+
+    def test_python_m_cliffeph_runs_the_cli(self, capsys):
+        src = os.path.dirname(os.path.dirname(cliffeph.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffeph", "verify", "--metric", "p"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert cli_main(["verify", "--metric", "p"]) == 0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == capsys.readouterr().out
 
     def test_arrows_file_has_grid(self, tmp_path):
         code = cli_main(["arrows", "--metric", "p", "--subgroup", "N",
