@@ -310,6 +310,8 @@ def clifford_inverse(m):
 
 
 def lst_to_clifford(v, units):
+    if not units:
+        raise ValueError("no units given")
     if len(v) != len(units):
         raise ValueError("component count %d != unit count %d" % (len(v), len(units)))
     metric = units[0].metric

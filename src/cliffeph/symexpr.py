@@ -191,15 +191,24 @@ _term_order = attrgetter("_key")
 # Canonicalizing constructors
 
 
-def _split_coeff(t):
-    """Split a canonical non-Add term into (rational coefficient, monomial)."""
+def _coeff(t):
+    """Rational coefficient of a canonical term: a Rational's value, a
+    product's leading Rational, else 1.  Builds no nodes."""
     if isinstance(t, Rational):
-        return t.value, ONE
+        return t.value
     if isinstance(t, Mul) and isinstance(t.factors[0], Rational):
-        rest = t.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Mul(rest)
-        return t.factors[0].value, mono
-    return Fraction(1), t
+        return t.factors[0].value
+    return Fraction(1)
+
+
+def _split_coeff(t):
+    """Split a canonical non-Add, non-Rational term into (rational
+    coefficient, monomial)."""
+    coeff = _coeff(t)
+    if coeff == 1:
+        return coeff, t
+    rest = t.factors[1:]
+    return coeff, rest[0] if len(rest) == 1 else Mul(rest)
 
 
 def _scale(coeff, mono):
@@ -240,40 +249,31 @@ def add(*terms):
     return Add(tuple(terms2))
 
 
-def _fraction_gcd(a, b):
-    return Fraction(
-        math.gcd(a.numerator, b.numerator),
-        (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator),
-    )
-
-
 def _add_content(e):
-    """Rational content and canonical sign of an Add; returns (scale, reduced)."""
-    coeffs = [_split_coeff(t)[0] for t in e.terms]
-    content = Fraction(0)
-    for c in coeffs:
-        content = _fraction_gcd(content, abs(c))
-    sign = 1 if coeffs[0] > 0 else -1
-    scale = content * sign
+    """Rational content and canonical sign of an Add; returns (scale, reduced).
+
+    The content is the gcd of the term coefficients; each is a reduced
+    fraction, so it is the gcd of the numerators over the lcm of the
+    denominators."""
+    coeffs = [_coeff(t) for t in e.terms]
+    scale = Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                     math.lcm(*(c.denominator for c in coeffs)))
+    if coeffs[0] < 0:
+        scale = -scale
     if scale == 1:
-        return Fraction(1), e
+        return scale, e
     inv = Rational(1 / scale)
-    reduced = add(*(mul(inv, t) for t in e.terms))
-    return scale, reduced
+    return scale, add(*(mul(inv, t) for t in e.terms))
 
 
 def _rational_pow(q, exp):
     """q ** exp for Fraction q; exact when possible, else a Pow node."""
+    if q == 0 and exp < 0:
+        raise ZeroDivisionError("zero raised to a negative power")
     if exp.denominator == 1:
-        if q == 0 and exp < 0:
-            raise ZeroDivisionError("zero raised to a negative power")
         return Rational(q ** int(exp))
     if q < 0:
         return Pow(Rational(q), exp)
-    if q == 0:
-        if exp < 0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        return ZERO
     rn = _iroot(q.numerator, exp.denominator)
     rd = _iroot(q.denominator, exp.denominator)
     if rn is not None and rd is not None:
@@ -353,21 +353,15 @@ def mul(*factors):
     adds = []
     requeue = []
     for base in sorted(powers, key=_term_order):
-        e = powers[base]
-        if e == 0:
-            continue
-        if e == 1:
-            if isinstance(base, Add):
-                adds.append(base)
-            else:
-                atoms.append(base)
-            continue
-        p = pow_(base, e)
+        p = pow_(base, powers[base])
         if isinstance(p, Rational):
             if p.value == 0:
                 return ZERO
             coeff *= p.value
-        elif isinstance(p, Pow) and p.base == base and p.exponent == e:
+        elif isinstance(p, Add):
+            adds.append(p)
+        # kept only on its own base: one that reduced to another may merge with it
+        elif (p is base and isinstance(p, (Symbol, Func))) or (isinstance(p, Pow) and p.base == base):
             atoms.append(p)
         else:
             requeue.append(p)
@@ -733,8 +727,7 @@ def _common_factors(num):
         terms = (num,)
     shared = None
     for t in terms:
-        _, mono = _split_coeff(t)
-        pows = {b: x for b, x in _mul_powers(mono).items() if x > 0}
+        pows = {b: x for b, x in _mul_powers(t).items() if x > 0}
         if shared is None:
             shared = pows
         else:
@@ -753,11 +746,7 @@ def normal(e):
     if den == ONE:
         return num
     den_pows = _mul_powers(den)
-    den_coeff = Fraction(1)
-    if isinstance(den, Mul) and isinstance(den.factors[0], Rational):
-        den_coeff = den.factors[0].value
-    elif isinstance(den, Rational):
-        den_coeff = den.value
+    den_coeff = _coeff(den)
     shared = _common_factors(num)
     cancel = []
     for base, x in shared.items():

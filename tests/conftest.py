@@ -2,8 +2,8 @@
 Kronecker-product faithful representation used as an independent oracle
 for the Clifford product and its involutions, reference walkers for the
 term-order key, the derivative, the substitution and the float value of
-an expression, and the operator-conjugated Moebius families that the
-vector fields are the t-derivatives of."""
+an expression, the reference content of a sum, and the operator-conjugated
+Moebius families that the vector fields are the t-derivatives of."""
 
 import math
 import random
@@ -175,6 +175,30 @@ def reference_key(e):
     if isinstance(e, Mul):
         return (4, tuple(reference_key(f) for f in e.factors))
     return (5, tuple(reference_key(t) for t in e.terms))
+
+
+def reference_add_content(e):
+    """Rational content and canonical sign of an Add, ``(scale, reduced)``,
+    by folding a two-argument fraction gcd over the term coefficients; the
+    oracle for ``symexpr._add_content``."""
+    coeffs = []
+    for t in e.terms:
+        if isinstance(t, Rational):
+            coeffs.append(t.value)
+        elif isinstance(t, Mul) and isinstance(t.factors[0], Rational):
+            coeffs.append(t.factors[0].value)
+        else:
+            coeffs.append(Fraction(1))
+    content = Fraction(0)
+    for c in map(abs, coeffs):
+        content = Fraction(
+            math.gcd(content.numerator, c.numerator),
+            content.denominator * c.denominator // math.gcd(content.denominator, c.denominator),
+        )
+    scale = content if coeffs[0] > 0 else -content
+    if scale == 1:
+        return Fraction(1), e
+    return scale, add(*(mul(Rational(1 / scale), t) for t in e.terms))
 
 
 def reference_diff(e, s):

@@ -227,6 +227,14 @@ class TestVectorConversion:
             with pytest.raises(NotAVectorError):
                 clifford_to_lst(lst_to_clifford([rational(1), rational(2)], units), units)
 
+    @pytest.mark.parametrize("convert", [
+        lambda: lst_to_clifford([], ()),
+        lambda: clifford_to_lst(dirac_ONE(ELLIPTIC), ()),
+    ], ids=["lst_to_clifford", "clifford_to_lst"])
+    def test_no_units_rejected(self, convert):
+        with pytest.raises(ValueError, match="no units given"):
+            convert()
+
     def test_bivector_is_not_a_vector(self):
         e0, e1 = clifford_units(ELLIPTIC)
         with pytest.raises(NotAVectorError):

@@ -29,8 +29,14 @@ from cliffeph import (
     symbols,
     to_str,
 )
-from cliffeph.symexpr import ONE, ZERO, Pow, _postorder, add, mul, pow_
-from conftest import reference_diff, reference_evalf, reference_key, reference_subs
+from cliffeph.symexpr import ONE, ZERO, Add, Pow, _add_content, _postorder, add, mul, pow_
+from conftest import (
+    reference_add_content,
+    reference_diff,
+    reference_evalf,
+    reference_key,
+    reference_subs,
+)
 
 x, y, t = symbols("x y t")
 
@@ -87,6 +93,27 @@ class TestConstruction:
     def test_structural_equality_is_order_free(self):
         assert x + y == y + x
         assert x * y == y * x
+
+    @pytest.mark.parametrize("product, canonical", [
+        (mul(3, sqrt(2), sqrt(2)), rational(6)),
+        (mul(3, sqrt(2), sqrt(2)) - 6, ZERO),
+        (mul(sqrt(x * y), sqrt(x * y), t), mul(x, y, t)),
+        (mul(sqrt(x ** 2), sqrt(x ** 2), y), mul(x ** 2, y)),
+        (mul(x, sqrt(sqrt(x)), sqrt(sqrt(x))), x ** Fraction(3, 2)),
+    ], ids=["rational-root-squared", "minus-6", "product-root-squared",
+            "power-root-squared", "nested-root-squared"])
+    def test_merged_powers_are_canonical(self, product, canonical):
+        assert product == canonical
+
+    def test_merged_power_that_reduces_to_a_symbol_is_merged_again(self):
+        q = sqrt(sqrt(x))
+        assert mul(x, q, q, q, q) == x ** 2
+
+    def test_zero_base_powers(self):
+        for negative in (-1, Fraction(-1, 2)):
+            with pytest.raises(ZeroDivisionError, match="zero raised to a negative power"):
+                pow_(0, negative)
+        assert pow_(0, Fraction(1, 2)) == ZERO
 
 
 class TestDiff:
@@ -320,6 +347,13 @@ def test_add_and_mul_ignore_argument_order(args, op):
 @given(trees)
 def test_stored_key_matches_reference_walker(e):
     assert e._key == reference_key(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees.filter(lambda e: isinstance(e, Add)), small_fractions.filter(bool))
+def test_add_content_matches_reference_fold(e, q):
+    for s in (e, mul(rational(q), e)):
+        assert _add_content(s) == reference_add_content(s)
 
 
 @settings(max_examples=150, deadline=None)
