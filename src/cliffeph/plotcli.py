@@ -10,7 +10,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .curves import FIELDS
 from .ephgeom import (
     DEFAULT_TUNING,
     FUTURE_PAST_FRAMES,
@@ -62,23 +61,23 @@ class JobConfig:
     fmt: str = "jsonl"
 
 
-def _fmt_num(x):
-    if isinstance(x, int):
-        return "%d" % x
-    if not math.isfinite(x):
-        raise ValueError("cannot write non-finite number %r" % (x,))
-    return "%.9g" % x
+def _finite(*xs):
+    """The numbers ``xs``, once each is checked to be finite."""
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("cannot write non-finite number in %r" % (xs,))
+    return xs
+
+
+# One JSONL record: the keys in FIELDS order, floats to 9 significant digits.
+_JSONL_LINE = (
+    '{"curve_id": %d, "kind": "%s", "transform": "%s", "u": %.9g, "v": %.9g, '
+    '"du": %.9g, "dv": %.9g, "color_grade": %.9g, "pen_width_hint": %.9g}\n'
+)
 
 
 def _jsonl_line(rec):
-    parts = []
-    for name in FIELDS:
-        value = getattr(rec, name)
-        if isinstance(value, str):
-            parts.append('"%s": "%s"' % (name, value))
-        else:
-            parts.append('"%s": %s' % (name, _fmt_num(value)))
-    return "{%s}" % ", ".join(parts)
+    return _JSONL_LINE % (rec.curve_id, rec.kind, rec.transform, *_finite(
+        rec.u, rec.v, rec.du, rec.dv, rec.color_grade, rec.pen_width_hint))
 
 
 def _polylines(records):
@@ -107,12 +106,10 @@ def _svg_arrow(rec, out):
         return
     tip_u = rec.u + _ARROW_SCALE * du
     tip_v = rec.v + _ARROW_SCALE * dv
+    gray = _gray(rec.color_grade)
     out.append(
-        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>'
-        % (
-            _fmt_num(rec.u), _fmt_num(rec.v), _fmt_num(tip_u), _fmt_num(tip_v),
-            _gray(rec.color_grade), _fmt_num(0.02 * rec.pen_width_hint),
-        )
+        '<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g" stroke="%s" stroke-width="%.9g"/>'
+        % (*_finite(rec.u, rec.v, tip_u, tip_v), gray, *_finite(0.02 * rec.pen_width_hint))
     )
     # triangle head: tip plus two base corners set back along the shaft
     ux, uy = du / r, dv / r
@@ -120,13 +117,8 @@ def _svg_arrow(rec, out):
     by = tip_v - _HEAD_SCALE * uy
     px, py = -uy * _HEAD_SCALE / 2, ux * _HEAD_SCALE / 2
     out.append(
-        '<polygon points="%s,%s %s,%s %s,%s" fill="%s"/>'
-        % (
-            _fmt_num(tip_u), _fmt_num(tip_v),
-            _fmt_num(bx + px), _fmt_num(by + py),
-            _fmt_num(bx - px), _fmt_num(by - py),
-            _gray(rec.color_grade),
-        )
+        '<polygon points="%.9g,%.9g %.9g,%.9g %.9g,%.9g" fill="%s"/>'
+        % (*_finite(tip_u, tip_v, bx + px, by + py, bx - px, by - py), gray)
     )
 
 
@@ -140,22 +132,17 @@ def _write_svg(records, fh, limits):
             continue
         if len(run) < 2:
             continue
-        coords = " L ".join(
-            "%s %s" % (_fmt_num(r.u), _fmt_num(r.v)) for r in run
-        )
+        coords = " L ".join("%.9g %.9g" % _finite(r.u, r.v) for r in run)
         body.append(
-            '<path d="M %s" fill="none" stroke="%s" stroke-width="%s"/>'
-            % (coords, _gray(run[0].color_grade), _fmt_num(0.02 * run[0].pen_width_hint))
+            '<path d="M %s" fill="none" stroke="%s" stroke-width="%.9g"/>'
+            % (coords, _gray(run[0].color_grade), *_finite(0.02 * run[0].pen_width_hint))
         )
+    box = _finite(-ulim, -vlim, 2 * ulim, 2 * vlim)
     fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    fh.write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9g %.9g %.9g %.9g">\n' % box)
     fh.write(
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%s %s %s %s">\n'
-        % (_fmt_num(-ulim), _fmt_num(-vlim), _fmt_num(2 * ulim), _fmt_num(2 * vlim))
-    )
-    fh.write(
-        '<defs><clipPath id="frame"><rect x="%s" y="%s" width="%s" height="%s"/>'
-        "</clipPath></defs>\n"
-        % (_fmt_num(-ulim), _fmt_num(-vlim), _fmt_num(2 * ulim), _fmt_num(2 * vlim))
+        '<defs><clipPath id="frame"><rect x="%.9g" y="%.9g" width="%.9g" height="%.9g"/>'
+        "</clipPath></defs>\n" % box
     )
     # flip the y axis so v grows upwards as in the plane
     fh.write('<g clip-path="url(#frame)" transform="scale(1,-1)">\n')
@@ -178,9 +165,7 @@ def write_curves(records, path, fmt="jsonl", limits=None):
     try:
         with open(part, "w", newline="\n") as fh:
             if fmt == "jsonl":
-                for rec in records:
-                    fh.write(_jsonl_line(rec))
-                    fh.write("\n")
+                fh.writelines(map(_jsonl_line, records))
             else:
                 _write_svg(records, fh, limits)
         os.replace(part, path)

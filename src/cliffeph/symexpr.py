@@ -7,11 +7,12 @@ form, so structural equality of two expressions implies they agree
 numerically under every assignment of their symbols.
 
 Division is represented as a power with a negative exponent; floats only
-appear when :func:`evalf` is called.  Expressions are DAGs (shared
-graphs): one iterative walk, :func:`_postorder`, lists each distinct node
-once, children first, and :func:`diff`, :func:`subs` and the straight-line
-Python that :func:`evalf` compiles once per expression handle each node
-once, in that order, however large the tree is.
+appear when :func:`evalf` or a function from :func:`compile_ex` is called.
+Expressions are DAGs (shared graphs): one iterative walk,
+:func:`_postorder`, lists each distinct node of one or more roots once,
+children first, and :func:`diff`, :func:`subs` and the straight-line
+Python that :func:`compile_ex` builds once per tuple of outputs handle
+each node once, in that order, however large the tree is.
 
 Identity lives in one place: every node stores its term-order key
 ``_key``, a tuple built once from its children's stored keys.  ``==``
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -309,6 +311,13 @@ def _coerce_exponent(x):
 
 
 def pow_(base, exp):
+    """base ** exp for a rational exponent.
+
+    A power of a power folds as GiNaC's ``power::eval`` does:
+    ``(b**c1)**c2`` is ``b**(c1*c2)`` when c2 is an integer or
+    -1 < c1 <= 1, where the fold holds on the principal branch; so
+    ``sqrt(sqrt(x))`` is ``x**(1/4)``, while ``(x**2)**(1/2)``, which is
+    |x| for real x, stays nested."""
     base = _coerce(base)
     exp = _coerce_exponent(exp)
     if exp == 0:
@@ -318,7 +327,7 @@ def pow_(base, exp):
     if isinstance(base, Rational):
         return _rational_pow(base.value, exp)
     if isinstance(base, Pow):
-        if exp.denominator == 1:
+        if exp.denominator == 1 or -1 < base.exponent <= 1:
             return pow_(base.base, base.exponent * exp)
         return Pow(base, exp)
     if isinstance(base, Mul):
@@ -427,11 +436,11 @@ def _children(e):
     return ()
 
 
-def _postorder(e):
-    """Each structurally distinct node of ``e`` once, children before
+def _postorder(*roots):
+    """Each structurally distinct node of the roots once, children before
     parents and left to right.  Iterative, so a deep expression cannot
     exceed Python's recursion limit."""
-    order, seen, stack = [], set(), [(e, False)]
+    order, seen, stack = [], set(), [(e, False) for e in reversed(roots)]
     while stack:
         x, expanded = stack.pop()
         if expanded:
@@ -547,35 +556,43 @@ def _subs(e, b, r):
 def evalf(e, env=None):
     """IEEE double evaluation; raises FreeSymbolError on unbound symbols.
 
-    ``env`` maps symbol names (or Symbols) to floats; infinities propagate
-    rather than raising, and invalid operations yield NaN.  The first call
-    on an expression compiles it (see :func:`_compile`); later calls on it,
-    or on any structurally equal expression, run the cached code.
-    """
-    fenv = {}
-    for k, v in (env or {}).items():
-        fenv[_sym_name(k)] = float(v)
-    e = _coerce(e)
-    fn = _COMPILED.get(e)
-    if fn is None:
-        fn = _COMPILED[e] = _compile(e)
+    ``env`` maps symbol names (or Symbols) to numbers, converted to floats
+    as constants are (±inf beyond double range); infinities propagate and
+    invalid operations yield NaN.  A thin wrapper over :func:`compile_ex`
+    with ``e``'s own symbols, sorted, as the arguments."""
+    fenv = {_sym_name(k): _float(v) for k, v in (env or {}).items()}
+    names = _symbol_names(_coerce(e))
     try:
-        return fn(fenv)
+        args = [fenv[name] for name in names]
     except KeyError as err:
         raise FreeSymbolError("no value for symbol %r" % err.args[0]) from None
+    return compile_ex((e,), names)(*args)[0]
 
 
-# Compiled evaluators by expression; the key keeps its expression alive.
-_COMPILED = {}
+@lru_cache(maxsize=None)
+def _symbol_names(e):
+    return tuple(sorted({x.name for x in _postorder(e) if isinstance(x, Symbol)}))
+
+
+def compile_ex(exprs, args):
+    """``f(*floats) -> tuple``: the float values of ``exprs`` with the
+    symbols named by ``args`` bound positionally, in that order.  Cached by
+    ``(exprs, args)``, so compiling the same pair again returns the same
+    function; a symbol not in ``args`` raises FreeSymbolError."""
+    return _compile(tuple(map(_coerce, exprs)), tuple(map(_sym_name, args)))
+
 
 # Operands per line of a long sum or product, far below the depth at which
 # compiling a chained expression overflows the compiler's recursion limit.
 _CHAIN = 64
 
 
-def _compile(e):
-    """Straight-line Python for ``e``: one assignment per structurally
-    distinct node, so a shared subexpression is computed once per call.
+@lru_cache(maxsize=None)
+def _compile(exprs, args):
+    """Straight-line Python for the tuple ``exprs`` over the positional
+    parameters ``args``: one assignment per structurally distinct node of
+    all of them, so a subexpression shared within or between outputs is
+    computed once per call.
 
     A sum folds left from int 0 in term order (``0 + a + b``, what builtin
     ``sum`` did before Python 3.12 made float sums compensated), a product
@@ -583,24 +600,28 @@ def _compile(e):
     """
     lines = []
     names = {}
+    params = {name: "a%d" % i for i, name in enumerate(args)}
 
     def ref(x):
-        return _literal(x.value) if isinstance(x, Rational) else names[x]
+        return repr(_float(x.value)) if isinstance(x, Rational) else names[x]
 
-    for x in _postorder(e):
+    for x in _postorder(*exprs):
         if isinstance(x, Rational):
+            continue
+        if isinstance(x, Symbol):
+            if x.name not in params:
+                raise FreeSymbolError("no value for symbol %r" % x.name)
+            names[x] = params[x.name]
             continue
         var = names[x] = "n%d" % len(names)
         if isinstance(x, (Add, Mul)):
             start, op, kids = ("0", " + ", x.terms) if isinstance(x, Add) else ("1.0", " * ", x.factors)
-            args = [ref(k) for k in kids]
-            for i in range(0, len(args), _CHAIN):
-                lines.append("%s = %s%s%s" % (var, start, op, op.join(args[i:i + _CHAIN])))
+            operands = [ref(k) for k in kids]
+            for i in range(0, len(operands), _CHAIN):
+                lines.append("%s = %s%s%s" % (var, start, op, op.join(operands[i:i + _CHAIN])))
                 start = var
             continue
-        if isinstance(x, Symbol):
-            rhs = "env[%r]" % x.name
-        elif isinstance(x, Pow):
+        if isinstance(x, Pow):
             base, q = ref(x.base), x.exponent
             if q.denominator == 1:
                 rhs = "_ipow(%s, %d)" % (base, q.numerator)
@@ -613,17 +634,19 @@ def _compile(e):
             rhs = "%s(%s)" % (x.name, ref(x.arg))
         lines.append("%s = %s" % (var, rhs))
 
-    src = "def evaluate(env):\n%s    return %s\n" % ("".join("    %s\n" % ln for ln in lines), ref(e))
+    lines.append("return (%s)" % "".join(ref(e) + ", " for e in exprs))
+    src = "def evaluate(%s):\n    %s\n" % (", ".join(params.values()), "\n    ".join(lines))
     scope = {}
-    exec(compile(src, "<evalf>", "exec"), _RUNTIME, scope)
+    exec(compile(src, "<compile_ex>", "exec"), _RUNTIME, scope)
     return scope["evaluate"]
 
 
-def _literal(q):
+def _float(q):
+    """float(q), or ±inf for a number beyond double range."""
     try:
-        return repr(float(q))
+        return float(q)
     except OverflowError:
-        return "1e999" if q > 0 else "-1e999"
+        return math.inf if q > 0 else -math.inf
 
 
 def _ipow(b, n):

@@ -1,6 +1,7 @@
 """Pins the output of ``cliffeph all`` to the benchmark's golden manifest:
-the sha256 of every JSONL file, the printed path order and the digest of
-the verify report, so numeric drift between versions fails the suite.
+the sha256 of every JSONL and every SVG file, the printed path order and
+the digest of the verify report, so numeric drift between versions fails
+the suite.
 Also pins the printed canonical form of every symbolic family, field and
 curvature, which catches a change in term order that leaves floats equal."""
 
@@ -38,6 +39,19 @@ def test_all_jsonl_matches_golden_manifest(tmp_path, capsys):
         assert _sha256(tmp_path / name) == golden["files"][name], name
     digest = hashlib.sha256("".join(report).encode()).hexdigest()
     assert digest == golden["verify_report"]
+
+
+def test_all_svg_matches_golden_manifest(tmp_path, capsys):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    svgs = {name: digest for name, digest in golden["files"].items() if name.endswith(".svg")}
+    assert cli_main(["all", "--format", "svg", "--out", str(tmp_path)]) == 0
+    prefix = str(tmp_path) + os.sep
+    names = [line[len(prefix):] for line in capsys.readouterr().out.splitlines()
+             if line.startswith(prefix)]
+    assert sorted(names) == sorted(os.listdir(tmp_path)) == sorted(svgs)
+    for name in names:
+        assert _sha256(tmp_path / name) == svgs[name], name
 
 
 def test_symbolic_build_matches_pinned_digest():

@@ -29,7 +29,20 @@ from cliffeph import (
     symbols,
     to_str,
 )
-from cliffeph.symexpr import ONE, ZERO, Add, Pow, _add_content, _postorder, add, mul, pow_
+from cliffeph.symexpr import (
+    ONE,
+    ZERO,
+    Add,
+    Mul,
+    Pow,
+    Rational,
+    _add_content,
+    _postorder,
+    add,
+    compile_ex,
+    mul,
+    pow_,
+)
 from conftest import (
     reference_add_content,
     reference_diff,
@@ -109,6 +122,14 @@ class TestConstruction:
         q = sqrt(sqrt(x))
         assert mul(x, q, q, q, q) == x ** 2
 
+    def test_nested_fractional_powers_fold(self):
+        assert sqrt(sqrt(x)) == pow_(x, Fraction(1, 4))
+        assert mul(sqrt(sqrt(x)), pow_(x, Fraction(1, 4))) == sqrt(x)
+        assert pow_(pow_(x, Fraction(-1, 2)), Fraction(3, 2)) == pow_(x, Fraction(-3, 4))
+        # outside the rule the nesting stays: sqrt(x**2) is |x|, not x
+        assert pow_(x ** 2, Fraction(1, 2)) == Pow(x ** 2, Fraction(1, 2))
+        assert pow_(x ** -1, Fraction(1, 2)) == Pow(x ** -1, Fraction(1, 2))
+
     def test_zero_base_powers(self):
         for negative in (-1, Fraction(-1, 2)):
             with pytest.raises(ZeroDivisionError, match="zero raised to a negative power"):
@@ -183,6 +204,25 @@ class TestSubsEvalf:
     @pytest.mark.parametrize("value", [-2.0, -0.0, 0.5, 2.0, math.nan])
     def test_evalf_beyond_double_range_matches_reference_walker(self, e, value):
         assert _bits(evalf(e, {"x": value})) == _bits(reference_evalf(e, {"x": value}))
+
+    @pytest.mark.parametrize(
+        "value", [10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3)], ids=["big", "-big", "big/3"])
+    def test_evalf_env_value_beyond_double_range_is_inf(self, value):
+        # the same rule as a constant beyond double range
+        inf = math.inf if value > 0 else -math.inf
+        assert evalf(x, {"x": value}) == inf
+        assert evalf(x, {"x": value}) == evalf(x * rational(value), {"x": 1.0})
+
+    def test_compile_ex_unbound_symbol_raises(self):
+        with pytest.raises(FreeSymbolError, match="'t'"):
+            compile_ex((x + y, sin(t)), ("x", "y"))
+
+    def test_compile_ex_caches_by_exprs_and_args(self):
+        f = compile_ex((x * y, sin(x)), ("x", "y"))
+        assert compile_ex((mul(y, x), sin(x)), (x, y)) is f
+        assert compile_ex((x * y, sin(x)), ("y", "x")) is not f
+        assert f(2.0, 3.0) == (6.0, math.sin(2.0))
+        assert compile_ex((), ())() == ()
 
     def test_evalf_signed_zeros_follow_the_folds(self):
         # 0 + (-0.0) + (-0.0) is +0.0, 1.0 * (-0.0) * 1.0 is -0.0
@@ -380,6 +420,42 @@ def test_subs_commutes_with_evalf(e, q, yv):
 def test_evalf_matches_reference_walker_bit_for_bit(e, xv, yv):
     env = {"x": xv, "y": yv}
     assert _bits(evalf(e, env)) == _bits(reference_evalf(e, env))
+
+
+# One to three trees whose leaves may be one drawn subtree, so the outputs
+# of one compiled function share it.
+shared_tuples = eval_trees.flatmap(
+    lambda sub: st.lists(
+        st.recursive(leaves | st.just(sub), _eval_branches, max_leaves=8), min_size=1, max_size=3)
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_tuples, eval_values, eval_values)
+def test_compiled_outputs_match_reference_walker_bit_for_bit(exprs, xv, yv):
+    env = {"x": xv, "y": yv}
+    out = compile_ex(exprs, ("x", "y"))(xv, yv)
+    assert [_bits(v) for v in out] == [_bits(reference_evalf(e, env)) for e in exprs]
+
+
+def _no_product_base(e):
+    """Not a rational, a product or a power of a product: an integer power
+    of a product distributes over its factors, so ``(x/(x + y))**-1`` is
+    ``1 + y/x``, and then folding depends on how mul groups the factors."""
+    base = e.base if isinstance(e, Pow) else e
+    return not isinstance(e, Rational) and not isinstance(base, Mul)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees.filter(_no_product_base), small_fractions, st.integers(-3, 3) | small_fractions)
+def test_power_of_a_power_folds_by_the_rule(e, p, q):
+    if not (q.denominator == 1 or -1 < p <= 1):
+        reject()
+    try:
+        inner = pow_(e, p)
+        assert pow_(inner, q) == pow_(e, p * q)
+    except ZeroDivisionError:
+        reject()
 
 
 @settings(max_examples=200, deadline=None)
