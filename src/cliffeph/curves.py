@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple):
     """One sampled point; consecutive records with the same curve_id in a
     stream form a polyline."""
 
@@ -21,4 +20,4 @@ class CurveRecord:
     pen_width_hint: float
 
 
-FIELDS = tuple(f.name for f in fields(CurveRecord))
+FIELDS = CurveRecord._fields

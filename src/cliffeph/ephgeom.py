@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import symexpr as sx
 from .cliffalg import MetricSpec, clifford_to_lst, clifford_units, dirac_ONE, lst_to_clifford
@@ -223,7 +223,7 @@ def vector_fields(kind):
             else:
                 # the vertical unit vector crosses the N- and K-orbits
                 tu, tv = (normal(diff(c, Y)) for c in (fam.u, fam.v))
-            out[(sub, int(ttype))] = FieldData(du, dv, tu, tv)
+            out[(sub, ttype)] = FieldData(du, dv, tu, tv)
     return out
 
 
@@ -259,32 +259,27 @@ def _in_limits(u, v, kind, cayley):
     return -(u * u) + v * v - 1.001 <= 0
 
 
-def _sample(kind_name, streams, curves, accept, pen):
+def _sample(kind_name, label, fn, direction, curves, accept, pen):
     """The sampling loop of every figure: each point of each (grade, points)
-    curve goes through each stream's (label, fn, direction), ``fn(*point)``
-    giving (u, v, ...).  A point passing ``accept(stream, u, v)`` is emitted
-    with ``direction(*fn(*point))``; any other point ends that stream's
-    polyline, as does the end of a curve.  Returns one record list per
-    stream, polylines numbered from 0."""
-    records = [[] for _ in streams]
-    started = [0] * len(streams)
+    curve goes through ``fn(*point)``, giving (u, v, ...).  A point passing
+    ``accept(u, v)`` is emitted with ``direction(*fn(*point))``; any other
+    point ends the polyline, as does the end of a curve.  Returns the
+    records, polylines numbered from 0."""
+    records = []
+    curve_id = -1
     for grade, points in curves:
-        drawing = [False] * len(streams)
+        drawing = False
         for point in points:
-            for i, (label, fn, direction) in enumerate(streams):
-                out = fn(*point)
-                u, v = out[0], out[1]
-                if not accept(i, u, v):
-                    drawing[i] = False
-                    continue
-                if not drawing[i]:
-                    drawing[i] = True
-                    started[i] += 1
-                du, dv = direction(*out)
-                records[i].append(CurveRecord(
-                    curve_id=started[i] - 1, kind=kind_name, transform=label,
-                    u=u, v=v, du=du, dv=dv, color_grade=grade, pen_width_hint=pen,
-                ))
+            out = fn(*point)
+            u, v = out[0], out[1]
+            if not accept(u, v):
+                drawing = False
+                continue
+            if not drawing:
+                drawing = True
+                curve_id += 1
+            du, dv = direction(*out)
+            records.append(CurveRecord(curve_id, kind_name, label, u, v, du, dv, grade, pen))
     return records
 
 
@@ -344,12 +339,11 @@ def _sample_streams(kind, sub, kind_name, curves, stream, pen):
     images, ``stream(family, field)`` giving each one's (fn, direction);
     returns {transform type: records}."""
     fams, fields = build_families(kind), vector_fields(kind)
-    streams = [(t.label, *stream(fams[(sub, t)], fields[(sub, t)])) for t in TransformType]
-
-    def accept(i, u, v):
-        return _in_limits(u, v, kind, i > 0)
-
-    return dict(zip(TransformType, _sample(kind_name, streams, curves, accept, pen)))
+    return {
+        t: _sample(kind_name, t.label, *stream(fams[(sub, t)], fields[(sub, t)]), curves,
+                   partial(_in_limits, kind=kind, cayley=t != TransformType.DIRECT), pen)
+        for t in TransformType
+    }
 
 
 def sample_orbits(kind, sub):
@@ -397,11 +391,10 @@ def sample_arrows(kind, sub):
     each node is a one-point curve of the identity map."""
     field = vector_fields(MetricKind(kind))[(Subgroup(sub), 0)]
     curves = [(0.6, [(k / 3.0, j / 3.0)]) for k in ARROW_GRID_COLS for j in ARROW_GRID_ROWS]
-    [records] = _sample(
-        "arrow", [(TransformType.DIRECT.label, compile_ex((X, Y), (X, Y)), _field_fn(field))],
-        curves, lambda i, u, v: True, 1.5,
+    return _sample(
+        "arrow", TransformType.DIRECT.label, compile_ex((X, Y), (X, Y)), _field_fn(field),
+        curves, lambda u, v: True, 1.5,
     )
-    return records
 
 
 FUTURE_PAST_FRAMES = 8
@@ -431,13 +424,12 @@ def sample_future_past():
     frame 0 is the identity."""
     fu, fv = _future_past_family()
     field = vector_fields(MetricKind.HYPERBOLIC)[(Subgroup.K, 0)]
-    fn = compile_ex((fu, fv), (A_PARAM, X, Y))
-    streams = [(TransformType.DIRECT.label, fn, _field_fn(field))]
+    fn, direction = compile_ex((fu, fv), (A_PARAM, X, Y)), _field_fn(field)
     lim = FUTURE_PAST_LIMIT
     nodes = range(-FUTURE_PAST_NODES // 2, FUTURE_PAST_NODES // 2 + 1)
     scale = _FUTURE_PAST_NODE_SCALE
 
-    def accept(i, u, v):
+    def accept(u, v):
         return abs(u) <= lim and abs(v) <= lim  # also rejects nan and inf
 
     frames = []
@@ -450,8 +442,8 @@ def sample_future_past():
             curves.append((grade, [
                 (angl, r * math.cosh(l / scale), r * math.sinh(l / scale)) for l in nodes
             ]))
-        [records] = _sample("future_past", streams, curves, accept, 1.0)
-        frames.append(records)
+        frames.append(_sample(
+            "future_past", TransformType.DIRECT.label, fn, direction, curves, accept, 1.0))
     return frames
 
 
@@ -462,11 +454,9 @@ def sample_future_past():
 @dataclass
 class KOrbitReport:
     kind: MetricKind
-    v0: float
     expected: float
     max_residual: float
     sign_flips: int
-    n_samples: int
     label: str
 
     @property
@@ -529,11 +519,9 @@ def verify_k_orbit(kind, v0):
         )
     return KOrbitReport(
         kind=kind,
-        v0=v0,
         expected=expected,
         max_residual=residual,
         sign_flips=flips,
-        n_samples=len(nodes),
         label=_K_CHECK_LABELS[kind],
     )
 
@@ -544,13 +532,7 @@ def verify_k_orbit(kind, v0):
 
 @dataclass
 class ParabolaFit:
-    vi: int
-    image: int            # 0 for the C image, 1 for the C1 image
     a: float
-    b: float
-    c: float
-    vertex_u: float
-    vertex_v: float
     focal_length: float
     check_value: float    # vertex law residue target -1 (subgroup A only)
 
@@ -567,6 +549,11 @@ class VertexReport:
         if not checked:
             return math.inf
         return max(abs(f.check_value + 1) for f in checked)
+
+    @property
+    def ok(self):
+        """The vertex law holds within 1e-6; subgroup N has no law to miss."""
+        return self.subgroup != Subgroup.A or self.max_law_deviation <= 1e-6
 
 
 def _fit_parabola_exact(p0, p1, p2):
@@ -610,7 +597,7 @@ def verify_parabolic_vertices(sub):
     kind = MetricKind.PARABOLIC
     report = VertexReport(subgroup=sub)
     params = _node_parameters(sub, kind)
-    for vi, (x0, y0) in enumerate(_orbit_origins(sub, kind)):
+    for x0, y0 in _orbit_origins(sub, kind):
         for image in range(2):
             fam = _vertex_check_family(sub, image)
             pts = []
@@ -626,27 +613,15 @@ def verify_parabolic_vertices(sub):
                     report.skipped += 1
                     continue
                 a, b, c = fit
-                vert_u = -b / (2 * a)
-                vert_v = c - b * b / (4 * a)
                 # The two images open in opposite directions, so the
                 # vertex laws v = -u^2 - 1 and v = u^2 - 1 mirror each
                 # other; the law holds for subgroup A only.
+                check = math.nan
                 if sub == Subgroup.A:
+                    vert_u = -b / (2 * a)
+                    vert_v = c - b * b / (4 * a)
                     law_sign = 1 if image == 0 else -1
                     check = float(vert_v) + law_sign * float(vert_u) ** 2
-                else:
-                    check = math.nan
-                report.fits.append(
-                    ParabolaFit(
-                        vi=vi,
-                        image=image,
-                        a=float(a),
-                        b=float(b),
-                        c=float(c),
-                        vertex_u=float(vert_u),
-                        vertex_v=float(vert_v),
-                        focal_length=float(Fraction(1, 4) / a),
-                        check_value=check,
-                    )
-                )
+                report.fits.append(ParabolaFit(
+                    a=float(a), focal_length=float(Fraction(1, 4) / a), check_value=check))
     return report

@@ -76,8 +76,8 @@ _JSONL_LINE = (
 
 
 def _jsonl_line(rec):
-    return _JSONL_LINE % (rec.curve_id, rec.kind, rec.transform, *_finite(
-        rec.u, rec.v, rec.du, rec.dv, rec.color_grade, rec.pen_width_hint))
+    _finite(*rec[3:])  # the six floats after curve_id, kind and transform
+    return _JSONL_LINE % rec
 
 
 def _polylines(records):
@@ -229,19 +229,17 @@ def run_verify(config, out=None):
                     continue
                 rep = verify_parabolic_vertices(sub)
                 if sub == Subgroup.A:
-                    dev = rep.max_law_deviation
-                    good = dev <= 1e-6
                     out.write(
                         "parabolic vertex law %s: %d fits, max |check+1| %.3g [%s]\n"
-                        % (Subgroup(sub).letter, len(rep.fits), dev,
-                           "ok" if good else "FAIL")
+                        % (Subgroup(sub).letter, len(rep.fits), rep.max_law_deviation,
+                           "ok" if rep.ok else "FAIL")
                     )
-                    ok = ok and good
                 else:
                     out.write(
                         "parabolic parabola fits %s: %d fits, %d skipped\n"
                         % (Subgroup(sub).letter, len(rep.fits), rep.skipped)
                     )
+                ok = ok and rep.ok
     return ok
 
 

@@ -578,7 +578,8 @@ def compile_ex(exprs, args):
     """``f(*floats) -> tuple``: the float values of ``exprs`` with the
     symbols named by ``args`` bound positionally, in that order.  Cached by
     ``(exprs, args)``, so compiling the same pair again returns the same
-    function; a symbol not in ``args`` raises FreeSymbolError."""
+    function; a symbol not in ``args`` raises FreeSymbolError and a name
+    given twice raises ValueError."""
     return _compile(tuple(map(_coerce, exprs)), tuple(map(_sym_name, args)))
 
 
@@ -600,7 +601,11 @@ def _compile(exprs, args):
     """
     lines = []
     names = {}
-    params = {name: "a%d" % i for i, name in enumerate(args)}
+    params = {}
+    for i, name in enumerate(args):
+        if name in params:
+            raise ValueError("symbol %r is given twice in the arguments" % name)
+        params[name] = "a%d" % i
 
     def ref(x):
         return repr(_float(x.value)) if isinstance(x, Rational) else names[x]

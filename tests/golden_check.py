@@ -1,8 +1,9 @@
 """Check ``cliffeph all`` against the benchmark's golden manifest.
 
-Runs ``cli_main(["all", "--out", DIR])`` into a temporary directory and
-compares the printed path order, the sha256 of each of the 71 JSONL files
-and the digest of the verify report with ``bench/golden.json``.  It uses
+Runs ``cli_main(["all", "--format", FMT, "--out", DIR])`` for JSONL and
+for SVG, each into a temporary directory, and compares the printed paths,
+the sha256 of each of the 71 files and the digest of the verify report
+with ``bench/golden.json``, which it only reads.  It uses
 only the standard library and the package sources beside it, so any
 interpreter the package supports can run it without an install:
 
@@ -30,14 +31,12 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def mismatches():
-    """Human-readable differences from the golden manifest, or []."""
-    with open(os.path.join(ROOT, "bench", "golden.json")) as fh:
-        golden = json.load(fh)
+def _mismatches_for(fmt, golden):
+    """Differences of ``cliffeph all --format fmt`` from the manifest."""
     with tempfile.TemporaryDirectory() as out:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            status = cli_main(["all", "--out", out])
+            status = cli_main(["all", "--format", fmt, "--out", out])
         prefix = out + os.sep
         names, report = [], []
         for line in stdout.getvalue().splitlines(keepends=True):
@@ -46,7 +45,9 @@ def mismatches():
             else:
                 report.append(line)
         found = [] if status == 0 else ["exit status %d" % status]
-        if names != golden["jobs"]["all --format jsonl"]:
+        # the manifest pins the printed order of the JSONL run only
+        expected = [name[:-len("jsonl")] + fmt for name in golden["jobs"]["all --format jsonl"]]
+        if names != expected:
             found.append("printed paths differ from the golden order")
         found += [
             "%s differs" % name
@@ -55,7 +56,14 @@ def mismatches():
         ]
     if hashlib.sha256("".join(report).encode()).hexdigest() != golden["verify_report"]:
         found.append("verify report differs")
-    return found
+    return ["all --format %s: %s" % (fmt, line) for line in found]
+
+
+def mismatches():
+    """Human-readable differences from the golden manifest, or []."""
+    with open(os.path.join(ROOT, "bench", "golden.json")) as fh:
+        golden = json.load(fh)
+    return _mismatches_for("jsonl", golden) + _mismatches_for("svg", golden)
 
 
 def main():

@@ -35,8 +35,10 @@ from cliffeph import (
     verify_k_orbit,
     verify_parabolic_vertices,
 )
-from cliffeph import ephgeom
-from cliffeph.ephgeom import _family, _fit_parabola_exact, _vertex_check_family
+from cliffeph import ephgeom, plotcli
+from cliffeph.ephgeom import (
+    ParabolaFit, VertexReport, _family, _fit_parabola_exact, _sample, _vertex_check_family,
+)
 from cliffeph.plotcli import run_verify
 from cliffeph.symexpr import ZERO, SingularSystemError, as_fraction_value, lsolve
 
@@ -268,6 +270,27 @@ class TestSampling:
             assert all(r.pen_width_hint == 1.0 for r in frame)
             assert {r.color_grade for r in frame} <= {0.0, 1.0}
 
+    def test_sample_splits_polylines_and_passes_every_output_to_direction(self):
+        seen = []
+
+        def direction(*out):
+            seen.append(out)
+            return out[2], -out[2]
+
+        # u = 5 is rejected; the second curve starts a new polyline although
+        # the first one ended on an accepted point
+        curves = [(0.25, [(0.0,), (1.0,), (5.0,), (2.0,)]), (0.5, [(3.0,), (4.0,)])]
+        recs = _sample("toy", "direct", lambda s: (s, 2 * s, s + 1), direction, curves,
+                       lambda u, v: u < 5, 1.5)
+        assert recs == [
+            (0, "toy", "direct", 0.0, 0.0, 1.0, -1.0, 0.25, 1.5),
+            (0, "toy", "direct", 1.0, 2.0, 2.0, -2.0, 0.25, 1.5),
+            (1, "toy", "direct", 2.0, 4.0, 3.0, -3.0, 0.25, 1.5),
+            (2, "toy", "direct", 3.0, 6.0, 4.0, -4.0, 0.5, 1.5),
+            (2, "toy", "direct", 4.0, 8.0, 5.0, -5.0, 0.5, 1.5),
+        ]
+        assert seen == [(s, 2 * s, s + 1) for s in (0.0, 1.0, 2.0, 3.0, 4.0)]
+
     def test_sampling_is_deterministic(self):
         a = sample_orbits(MetricKind.HYPERBOLIC, Subgroup.N)
         b = sample_orbits(MetricKind.HYPERBOLIC, Subgroup.N)
@@ -310,6 +333,17 @@ class TestVerify:
         rep = verify_parabolic_vertices(Subgroup.N)
         assert rep.fits
         assert all(math.isnan(f.check_value) for f in rep.fits)
+
+    def test_vertex_report_owns_the_law_tolerance(self, monkeypatch):
+        miss = VertexReport(Subgroup.A, [ParabolaFit(1.0, 0.25, -1 - 2e-6)])
+        assert not miss.ok
+        assert VertexReport(Subgroup.A, [ParabolaFit(1.0, 0.25, -1 + 5e-7)]).ok
+        assert VertexReport(Subgroup.N, [ParabolaFit(1.0, 0.25, math.nan)]).ok
+        monkeypatch.setattr(plotcli, "verify_parabolic_vertices", lambda sub: miss)
+        out = io.StringIO()
+        config = JobConfig(kinds=[MetricKind.PARABOLIC], subs=[Subgroup.A])
+        assert not run_verify(config, out=out)
+        assert "parabolic vertex law A: 1 fits, max |check+1| 2e-06 [FAIL]\n" in out.getvalue()
 
     def test_subgroup_k_rejected(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,13 @@ class TestSubsEvalf:
         with pytest.raises(FreeSymbolError, match="'t'"):
             compile_ex((x + y, sin(t)), ("x", "y"))
 
+    def test_compile_ex_repeated_argument_raises(self):
+        # binding x twice would leave the compiled function one parameter short
+        with pytest.raises(ValueError, match="'x'"):
+            compile_ex((x - y,), ("x", "y", "x"))
+        with pytest.raises(ValueError, match="'y'"):
+            compile_ex((x - y,), (y, "x", "y"))
+
     def test_compile_ex_caches_by_exprs_and_args(self):
         f = compile_ex((x * y, sin(x)), ("x", "y"))
         assert compile_ex((mul(y, x), sin(x)), (x, y)) is f
