@@ -189,7 +189,9 @@ def _family(kind, sub, ttype):
 @lru_cache(maxsize=None)
 def build_families(kind):
     """All 9 (subgroup x transform type) Moebius families for one metric."""
-    return {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
+    fams = {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
+    sx.clear_memo()
+    return fams
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,7 @@ def vector_fields(kind):
                 # the vertical unit vector crosses the N- and K-orbits
                 tu, tv = (normal(diff(c, Y)) for c in (fam.u, fam.v))
             out[(sub, ttype)] = FieldData(du, dv, tu, tv)
+    sx.clear_memo()
     return out
 
 

@@ -17,7 +17,12 @@ each node once, in that order, however large the tree is.
 Identity lives in one place: every node stores its term-order key
 ``_key``, a tuple built once from its children's stored keys.  ``==``
 compares keys, the constructors sort terms and factors by them, and the
-cached ``hash`` is built from the children's cached hashes.
+cached ``hash`` is built from the children's cached hashes.  The
+constructors :func:`add`, :func:`mul` and :func:`pow_` are memoized by
+that structural key, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
+an equal call may return an equal but distinct object, so no rule
+tests nodes by ``is``.  :func:`clear_memo` empties the tables; the EPH
+geometry calls it after each metric's build.
 """
 
 from __future__ import annotations
@@ -222,6 +227,7 @@ def _scale(coeff, mono):
     return Mul((Rational(coeff), mono))
 
 
+@lru_cache(maxsize=None, typed=True)
 def add(*terms):
     const = Fraction(0)
     bucket = {}
@@ -304,12 +310,14 @@ def _coerce_exponent(x):
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ExprError("exponent %r is not finite" % (x,))
-        return Fraction(x).limit_denominator(10 ** 9)
+        # a magnitude below the limit's resolution keeps its exact value
+        return Fraction(x).limit_denominator(10 ** 9) or Fraction(x)
     if isinstance(x, Expr):
         raise ExprError("only rational exponents are supported")
     raise TypeError("bad exponent %r" % (x,))
 
 
+@lru_cache(maxsize=None, typed=True)
 def pow_(base, exp):
     """base ** exp for a rational exponent.
 
@@ -341,6 +349,7 @@ def pow_(base, exp):
     return Pow(base, exp)
 
 
+@lru_cache(maxsize=None, typed=True)
 def mul(*factors):
     coeff = Fraction(1)
     powers = {}
@@ -370,7 +379,7 @@ def mul(*factors):
         elif isinstance(p, Add):
             adds.append(p)
         # kept only on its own base: one that reduced to another may merge with it
-        elif (p is base and isinstance(p, (Symbol, Func))) or (isinstance(p, Pow) and p.base == base):
+        elif (powers[base] == 1 and isinstance(p, (Symbol, Func))) or (isinstance(p, Pow) and p.base == base):
             atoms.append(p)
         else:
             requeue.append(p)
@@ -388,6 +397,12 @@ def mul(*factors):
     if coeff == 1:
         return atoms[0] if len(atoms) == 1 else Mul(tuple(atoms))
     return Mul((Rational(coeff),) + tuple(atoms))
+
+
+def clear_memo():
+    """Empty the memo tables of :func:`add`, :func:`mul` and :func:`pow_`."""
+    for constructor in (add, mul, pow_):
+        constructor.cache_clear()
 
 
 _FUNC_AT_ZERO = {"sin": ZERO, "cos": ONE, "exp": ONE, "cosh": ONE, "sinh": ZERO}

@@ -40,7 +40,7 @@ from cliffeph.ephgeom import (
     ParabolaFit, VertexReport, _family, _fit_parabola_exact, _sample, _vertex_check_family,
 )
 from cliffeph.plotcli import run_verify
-from cliffeph.symexpr import ZERO, SingularSystemError, as_fraction_value, lsolve
+from cliffeph.symexpr import ZERO, SingularSystemError, add, as_fraction_value, lsolve, mul, pow_
 
 from conftest import operator_family
 
@@ -146,6 +146,15 @@ class TestFamilies:
     def test_all_nine_families_built(self, kind):
         fams = build_families(kind)
         assert len(fams) == 9
+
+    @pytest.mark.parametrize("build", ["build_families", "vector_fields"])
+    def test_build_leaves_no_constructor_memo(self, build):
+        build = getattr(ephgeom, build)
+        for kind in KINDS:
+            build.cache_clear()
+            add(x, t), mul(x, t), pow_(x, 5)
+            build(kind)
+            assert [f.cache_info().currsize for f in (add, mul, pow_)] == [0, 0, 0], kind
 
 
 class TestVectorFields:

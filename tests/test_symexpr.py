@@ -39,6 +39,7 @@ from cliffeph.symexpr import (
     _add_content,
     _postorder,
     add,
+    clear_memo,
     compile_ex,
     mul,
     pow_,
@@ -135,6 +136,38 @@ class TestConstruction:
             with pytest.raises(ZeroDivisionError, match="zero raised to a negative power"):
                 pow_(0, negative)
         assert pow_(0, Fraction(1, 2)) == ZERO
+
+    def test_tiny_float_exponent_keeps_its_exact_value(self):
+        # limit_denominator(10**9) rounds every 0 < |q| < 5e-10 to 0
+        for q in (1e-12, -1e-12, 5e-324):
+            assert pow_(x, q) == Pow(x, Fraction(q))
+        assert evalf(pow_(x, 1e-12), {x: 0.0}) == 0.0
+        assert pow_(x, 0.1) == Pow(x, Fraction(1, 10))
+
+
+class TestMemo:
+    def test_float_and_exact_exponents_keep_their_own_results(self):
+        # 0.1 == Fraction(0.1) and their hashes agree, but the float is
+        # limited to 1/10 and the Fraction is kept exact
+        cold = {}
+        for q in (0.1, Fraction(0.1)):
+            clear_memo()
+            cold[type(q)] = pow_(x, q)._key
+        assert cold[float] != cold[Fraction]
+        for order in ((0.1, Fraction(0.1)), (Fraction(0.1), 0.1)):
+            clear_memo()
+            for q in order:
+                assert pow_(x, q)._key == cold[type(q)]
+
+    def test_merged_symbol_equal_to_its_base_is_kept_in_one_pass(self):
+        x1, x2, z = symbol("x"), symbol("x"), symbol("z")
+        clear_memo()
+        assert pow_(x1, 1) is x1
+        before = mul.cache_info().currsize
+        # pow_(x2, 1) returns the memoized x1, which is not x2
+        product = mul(x2, z)
+        assert mul.cache_info().currsize == before + 1
+        assert product == x1 * z
 
 
 class TestDiff:
@@ -463,6 +496,26 @@ def test_power_of_a_power_folds_by_the_rule(e, p, q):
         assert pow_(inner, q) == pow_(e, p * q)
     except ZeroDivisionError:
         reject()
+
+
+def _key_of(build):
+    try:
+        return build()._key
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees, trees, st.sampled_from([-2, -1, 2, 0.5, 0.1, 1e-12]))
+def test_constructors_agree_with_a_warm_and_a_cleared_memo(a, b, q):
+    # the memo is warm from building the trees and from earlier examples;
+    # a float exponent and the equal Fraction must not share an entry
+    builds = [lambda: add(a, b), lambda: mul(a, b), lambda: pow_(a, q),
+              lambda: pow_(a, Fraction(q)), lambda: pow_(mul(a, b), q)]
+    warm = [_key_of(build) for build in builds]
+    for build, key in zip(builds, warm):
+        clear_memo()
+        assert _key_of(build) == key
 
 
 @settings(max_examples=200, deadline=None)
