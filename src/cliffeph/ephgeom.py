@@ -83,7 +83,6 @@ DEFAULT_TUNING = TuningTables(
 X = symbol("x")
 Y = symbol("y")
 T = symbol("t")
-A_PARAM = symbol("a")
 
 
 @lru_cache(maxsize=None)
@@ -92,24 +91,25 @@ def metric_for(kind):
     return MetricSpec.diag(-1, kind.sigma)
 
 
+@lru_cache(maxsize=None)
+def _basis(kind):
+    """(dirac_ONE, e0, e1) of the metric."""
+    metric = metric_for(kind)
+    return (dirac_ONE(metric), *clifford_units(metric))
+
+
 @dataclass(frozen=True)
 class CayleySet:
     C: CMat2
     CI: CMat2
     C1: CMat2
     C1I: CMat2
-    T: CMat2
-    TI: CMat2
 
 
 @lru_cache(maxsize=None)
 def cayley_matrices(kind):
     kind = MetricKind(kind)
-    metric = metric_for(kind)
-    e0, e1 = clifford_units(metric)
-    one = dirac_ONE(metric)
-    t_mat = CMat2(one, e0, e0, one)
-    ti_mat = CMat2(one, -e0, -e0, one)
+    one, e0, e1 = _basis(kind)
     if kind is MetricKind.PARABOLIC:
         half = Fraction(1, 2)
         c = CMat2(one, e1.scale(-half), e1.scale(-half), one)
@@ -120,17 +120,16 @@ def cayley_matrices(kind):
         sig = kind.sigma
         c = CMat2(one, -e1, e1.scale(sig), one)
         ci = CMat2(one, e1, e1.scale(-sig), one)
-        c1 = mat_mul(c, t_mat)
-        c1i = mat_mul(ti_mat, ci)
-    return CayleySet(c, ci, c1, c1i, t_mat, ti_mat)
+        # T = (1, e0; e0, 1) and TI = (1, -e0; -e0, 1) give T TI = 2, so C1 C1I = 2 C CI
+        c1 = mat_mul(c, CMat2(one, e0, e0, one))
+        c1i = mat_mul(CMat2(one, -e0, -e0, one), ci)
+    return CayleySet(c, ci, c1, c1i)
 
 
 def subgroup_exp(sub, t, kind):
     """Exponential of the Lie-algebra generator of A, N or K at parameter t."""
     sub = Subgroup(sub)
-    metric = metric_for(kind)
-    e0, _ = clifford_units(metric)
-    one = dirac_ONE(metric)
+    one, e0, _ = _basis(kind)
     zero = one.scale(0)
     t = sx._coerce(t)
     if sub is Subgroup.A:
@@ -145,8 +144,14 @@ class MoebiusFamily:
     u: sx.Expr
     v: sx.Expr
 
-    def at(self, x, y, t):
-        return compile_ex((self.u, self.v), (X, Y, T))(float(x), float(y), float(t))
+    def fn(self):
+        """The family as a compiled function (x, y, t) -> (u, v) of floats."""
+        return compile_ex((self.u, self.v), (X, Y, T))
+
+
+def _moebius_family(kind, mat):
+    """The family of images of x e0 + y e1 under the Moebius map of mat."""
+    return MoebiusFamily(*clifford_moebius_map(mat, (X, Y), metric_for(kind)))
 
 
 def _cayley_pair(kind, ttype):
@@ -158,9 +163,7 @@ def _cayley_pair(kind, ttype):
 def _generator(kind, sub, ttype):
     """Lie-algebra generator X of the subgroup, the t = 0 derivative of
     ``subgroup_exp``; for a Cayley image L X R / lam, with L R = lam I."""
-    metric = metric_for(kind)
-    e0, _ = clifford_units(metric)
-    one = dirac_ONE(metric)
+    one, e0, _ = _basis(kind)
     gen = (CMat2(one, 0, 0, -one), CMat2(0, e0, 0, 0), CMat2(0, e0, e0, 0))[sub]
     if ttype == TransformType.DIRECT:
         return gen
@@ -178,12 +181,11 @@ def _family(kind, sub, ttype):
     if ttype != TransformType.DIRECT:
         mat = mat_mul(_cayley_pair(kind, ttype)[0], mat)
     try:
-        u, v = clifford_moebius_map(mat, (X, Y), metric_for(kind))
+        return _moebius_family(kind, mat)
     except Exception as err:
         raise RuntimeError(
             "family (%s, %s, %s) failed: %s" % (sub.name, ttype.name, kind.name, err)
         ) from err
-    return MoebiusFamily(u, v)
 
 
 @lru_cache(maxsize=None)
@@ -203,6 +205,10 @@ class FieldData:
     trans_u: sx.Expr      # the family's derivative along the subgroup's seed
     trans_v: sx.Expr
 
+    def fn(self):
+        """The field as a compiled function (x, y) -> (du, dv) of floats."""
+        return compile_ex((self.du, self.dv), (X, Y))
+
 
 @lru_cache(maxsize=None)
 def vector_fields(kind):
@@ -211,7 +217,7 @@ def vector_fields(kind):
     family differentiated along a seed field that crosses its orbits."""
     kind = MetricKind(kind)
     fams = build_families(kind)
-    units = clifford_units(metric_for(kind))
+    units = _basis(kind)[1:]
     w = lst_to_clifford([X, Y], units)
     out = {}
     for sub in Subgroup:
@@ -286,11 +292,6 @@ def _sample(kind_name, label, fn, direction, curves, accept, pen):
     return records
 
 
-def _field_fn(field):
-    """The vector field (du, dv) as a function of the point (u, v)."""
-    return compile_ex((field.du, field.dv), (X, Y))
-
-
 def _orbit_origins(sub, kind):
     """Seed point of each curve of the (sub, kind) orbit family."""
     vil = DEFAULT_TUNING.vilimits[sub][kind]
@@ -362,7 +363,7 @@ def sample_orbits(kind, sub):
     ]
 
     def stream(fam, field):
-        return compile_ex((fam.u, fam.v), (X, Y, T)), _field_fn(field)
+        return fam.fn(), field.fn()
 
     return _sample_streams(kind, sub, "orbit", curves, stream, 1.5)
 
@@ -395,7 +396,7 @@ def sample_arrows(kind, sub):
     field = vector_fields(MetricKind(kind))[(Subgroup(sub), 0)]
     curves = [(0.6, [(k / 3.0, j / 3.0)]) for k in ARROW_GRID_COLS for j in ARROW_GRID_ROWS]
     return _sample(
-        "arrow", TransformType.DIRECT.label, compile_ex((X, Y), (X, Y)), _field_fn(field),
+        "arrow", TransformType.DIRECT.label, compile_ex((X, Y), (X, Y)), field.fn(),
         curves, lambda u, v: True, 1.5,
     )
 
@@ -414,20 +415,17 @@ _FUTURE_PAST_NODE_SCALE = 4.0
 
 @lru_cache(maxsize=None)
 def _future_past_family():
-    metric = metric_for(MetricKind.HYPERBOLIC)
-    _, e1 = clifford_units(metric)
-    one = dirac_ONE(metric)
-    mat = CMat2(one, e1.scale(-A_PARAM), e1.scale(A_PARAM), one)
-    u, v = clifford_moebius_map(mat, (X, Y), metric)
-    return u, v
+    """The map (1, -t e1; t e1, 1) of the future-past frames, t the frame's parameter."""
+    kind = MetricKind.HYPERBOLIC
+    one, _, e1 = _basis(kind)
+    return _moebius_family(kind, CMat2(one, e1.scale(-T), e1.scale(T), one))
 
 
 def sample_future_past():
     """Eight frames of the map pushing the future light cone to the past;
     frame 0 is the identity."""
-    fu, fv = _future_past_family()
     field = vector_fields(MetricKind.HYPERBOLIC)[(Subgroup.K, 0)]
-    fn, direction = compile_ex((fu, fv), (A_PARAM, X, Y)), _field_fn(field)
+    fn, direction = _future_past_family().fn(), field.fn()
     lim = FUTURE_PAST_LIMIT
     nodes = range(-FUTURE_PAST_NODES // 2, FUTURE_PAST_NODES // 2 + 1)
     scale = _FUTURE_PAST_NODE_SCALE
@@ -443,7 +441,7 @@ def sample_future_past():
             grade = float(k // FUTURE_PAST_FRAMES)  # C integer ratio
             r = _FUTURE_PAST_RADII[k]
             curves.append((grade, [
-                (angl, r * math.cosh(l / scale), r * math.sinh(l / scale)) for l in nodes
+                (r * math.cosh(l / scale), r * math.sinh(l / scale), angl) for l in nodes
             ]))
         frames.append(_sample(
             "future_past", TransformType.DIRECT.label, fn, direction, curves, accept, 1.0))
@@ -476,14 +474,14 @@ _K_CHECK_LABELS = (
 )
 
 
-def _k_orbit_nodes(kind, v0):
-    fam = _family(kind, Subgroup.K, TransformType.DIRECT)
-    nodes = []
-    for tval in _node_parameters(Subgroup.K, kind)[1:-1]:  # sweep endpoints excluded
-        u, v = fam.at(0.0, v0, tval)
-        if math.isfinite(u) and math.isfinite(v):
-            nodes.append((u, v))
-    return nodes
+def _finite_nodes(fam, x0, y0, params):
+    """(u, v) of the family from the origin (x0, y0) at each parameter, or
+    None where u or v is not finite."""
+    fn = fam.fn()
+    return [
+        (u, v) if math.isfinite(u) and math.isfinite(v) else None
+        for u, v in (fn(x0, y0, t) for t in params)
+    ]
 
 
 def verify_k_orbit(kind, v0):
@@ -492,7 +490,9 @@ def verify_k_orbit(kind, v0):
     kind = MetricKind(kind)
     if v0 <= 0:
         raise ValueError("origin ordinate must be positive")
-    nodes = _k_orbit_nodes(kind, v0)
+    fam = _family(kind, Subgroup.K, TransformType.DIRECT)
+    params = _node_parameters(Subgroup.K, kind)[1:-1]  # sweep endpoints excluded
+    nodes = [p for p in _finite_nodes(fam, 0.0, float(v0), params) if p is not None]
     if not nodes:
         raise ValueError("no finite node on the K-orbit through (0, %r)" % (v0,))
     flips = 0
@@ -560,10 +560,10 @@ class VertexReport:
 
 
 def _fit_parabola_exact(p0, p1, p2):
-    """Exact (a, b, c) of v = a u^2 + b u + c through three rational
-    points by Newton divided differences; None when two abscissae
-    coincide."""
-    (u0, v0), (u1, v1), (u2, v2) = p0, p1, p2
+    """Exact (a, b, c) of v = a u^2 + b u + c through three points, each
+    taken exactly as Fractions, by Newton divided differences; None when
+    two abscissae coincide."""
+    (u0, v0), (u1, v1), (u2, v2) = ((Fraction(u), Fraction(v)) for u, v in (p0, p1, p2))
     if u0 == u1 or u0 == u2 or u1 == u2:
         return None
     d01 = (v1 - v0) / (u1 - u0)
@@ -578,16 +578,9 @@ def _vertex_check_family(sub, image):
     # point maps; the drawing matrices carry an extra 1/2 on e1 which
     # rescales the disk and would shift the law to v = +-u^2/2 - 1/2.
     kind = MetricKind.PARABOLIC
-    metric = metric_for(kind)
-    _, e1 = clifford_units(metric)
-    one = dirac_ONE(metric)
-    if image == 0:
-        cay = CMat2(one, -e1, -e1, one)
-    else:
-        cay = CMat2(one, -e1, e1, one)
-    mat = mat_mul(cay, subgroup_exp(sub, T, kind))
-    u, v = clifford_moebius_map(mat, (X, Y), metric)
-    return MoebiusFamily(u, v)
+    one, _, e1 = _basis(kind)
+    cay = CMat2(one, -e1, -e1 if image == 0 else e1, one)
+    return _moebius_family(kind, mat_mul(cay, subgroup_exp(sub, T, kind)))
 
 
 def verify_parabolic_vertices(sub):
@@ -602,12 +595,7 @@ def verify_parabolic_vertices(sub):
     params = _node_parameters(sub, kind)
     for x0, y0 in _orbit_origins(sub, kind):
         for image in range(2):
-            fam = _vertex_check_family(sub, image)
-            pts = []
-            for tval in params:
-                u, v = fam.at(x0, y0, tval)
-                finite = math.isfinite(u) and math.isfinite(v)
-                pts.append((Fraction(u), Fraction(v)) if finite else None)
+            pts = _finite_nodes(_vertex_check_family(sub, image), x0, y0, params)
             for triple in zip(pts, pts[1:], pts[2:]):
                 if None in triple:
                     continue

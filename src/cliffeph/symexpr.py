@@ -294,6 +294,8 @@ def _iroot(n, k):
     from above, so any size of n works."""
     if n in (0, 1):
         return n
+    if k >= n.bit_length():  # a root r >= 2 needs 2**k <= n
+        return None
     r = 1 << -(-n.bit_length() // k)
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k

@@ -1,11 +1,12 @@
 """Check ``cliffeph all`` against the benchmark's golden manifest.
 
 Runs ``cli_main(["all", "--format", FMT, "--out", DIR])`` for JSONL and
-for SVG, each into a temporary directory, and compares the printed paths,
-the sha256 of each of the 71 files and the digest of the verify report
-with ``bench/golden.json``, which it only reads.  It uses
-only the standard library and the package sources beside it, so any
-interpreter the package supports can run it without an install:
+for SVG, each into a temporary directory, and compares the exit status,
+the printed paths, the directory listing, the sha256 of each of the 71
+files and the digest of the verify report with ``bench/golden.json``,
+which it only reads.  It uses only the standard library and the package
+sources beside it, so any interpreter the package supports can run it
+without an install:
 
     python3.12 tests/golden_check.py
 
@@ -49,6 +50,8 @@ def _mismatches_for(fmt, golden):
         expected = [name[:-len("jsonl")] + fmt for name in golden["jobs"]["all --format jsonl"]]
         if names != expected:
             found.append("printed paths differ from the golden order")
+        if sorted(os.listdir(out)) != sorted(names):
+            found.append("output directory differs from the printed paths")
         found += [
             "%s differs" % name
             for name in names
@@ -59,11 +62,11 @@ def _mismatches_for(fmt, golden):
     return ["all --format %s: %s" % (fmt, line) for line in found]
 
 
-def mismatches():
+def mismatches(formats=("jsonl", "svg")):
     """Human-readable differences from the golden manifest, or []."""
     with open(os.path.join(ROOT, "bench", "golden.json")) as fh:
         golden = json.load(fh)
-    return _mismatches_for("jsonl", golden) + _mismatches_for("svg", golden)
+    return [line for fmt in formats for line in _mismatches_for(fmt, golden)]
 
 
 def main():

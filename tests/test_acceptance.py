@@ -275,7 +275,7 @@ def test_criterion_09_curvature():
         _, k_axis = curvature(kind, 0)
         for v0 in (0.5, 2.0, 3.0):
             sym = evalf(k_axis, {"y": v0})
-            pts = [fam.at(0.0, v0, tv) for tv in (-h, 0.0, h)]
+            pts = [fam.fn()(0.0, v0, tv) for tv in (-h, 0.0, h)]
             disc = _discrete_curvature(*pts)
             # the (ddu*dv - du*ddv) convention is the negative of the
             # counterclockwise discrete curvature

@@ -84,6 +84,20 @@ class TestConstruction:
         assert isinstance(sqrt(rational(2 * 10 ** 400)), Pow)
         assert pow_(rational(10 ** 600), Fraction(1, 3)) == rational(10 ** 200)
 
+    def test_root_of_a_degree_beyond_the_bit_length_is_decided_at_once(self):
+        # Fraction(0.1) and 1e-12 have denominators 2**55 and 2**92;
+        # Newton steps over r**(k - 1) would never finish
+        assert isinstance(pow_(rational(2), Fraction(0.1)), Pow)
+        assert isinstance(pow_(2, 1e-12), Pow)
+        assert pow_(rational(3 ** 200), Fraction(1, 100)) == rational(9)
+        assert pow_(rational(Fraction(1, 2 ** 64)), Fraction(1, 64)) == rational(1, 2)
+        assert pow_(rational(2), Fraction(1, 2)) == Pow(rational(2), Fraction(1, 2))
+
+    @pytest.mark.xfail(strict=True, reason="mul distributes a sum of exponent 1 but keeps "
+                       "a repeated sum as a power (CHANGES.md FOUND line, ROADMAP item 3)")
+    def test_product_does_not_depend_on_grouping(self):
+        assert mul(x + y, mul(x, x + y)) == mul(x + y, x, x + y)
+
     def test_positive_symbol_is_its_own_atom(self):
         xp = symbol("x", positive=True)
         assert x * xp != x ** 2
