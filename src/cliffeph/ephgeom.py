@@ -150,8 +150,11 @@ class MoebiusFamily:
 
 
 def _moebius_family(kind, mat):
-    """The family of images of x e0 + y e1 under the Moebius map of mat."""
-    return MoebiusFamily(*clifford_moebius_map(mat, (X, Y), metric_for(kind)))
+    """The family of images of x e0 + y e1 under the Moebius map of mat;
+    the constructor memo is emptied after each family."""
+    fam = MoebiusFamily(*clifford_moebius_map(mat, (X, Y), metric_for(kind)))
+    sx.clear_memo()
+    return fam
 
 
 def _cayley_pair(kind, ttype):
@@ -191,19 +194,15 @@ def _family(kind, sub, ttype):
 @lru_cache(maxsize=None)
 def build_families(kind):
     """All 9 (subgroup x transform type) Moebius families for one metric."""
-    fams = {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
-    sx.clear_memo()
-    return fams
+    return {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
 
 
 @dataclass(frozen=True)
 class FieldData:
-    """Vector field and transverse direction for one slot 0..2."""
+    """Vector field for one slot 0..2."""
 
     du: sx.Expr
     dv: sx.Expr
-    trans_u: sx.Expr      # the family's derivative along the subgroup's seed
-    trans_v: sx.Expr
 
     def fn(self):
         """The field as a compiled function (x, y) -> (du, dv) of floats."""
@@ -213,25 +212,16 @@ class FieldData:
 @lru_cache(maxsize=None)
 def vector_fields(kind):
     """Per slot, the infinitesimal action G.a w + G.b - w (G.c w + G.d) of
-    the generator G at w = x e0 + y e1, and the transverse direction: the
-    family differentiated along a seed field that crosses its orbits."""
+    the generator G at w = x e0 + y e1."""
     kind = MetricKind(kind)
-    fams = build_families(kind)
     units = _basis(kind)[1:]
     w = lst_to_clifford([X, Y], units)
     out = {}
     for sub in Subgroup:
         for ttype in TransformType:
             g = _generator(kind, sub, ttype)
-            du, dv = clifford_to_lst(g.a * w + g.b - w * (g.c * w + g.d), units)
-            fam = fams[(sub, ttype)]
-            if sub == Subgroup.A:
-                # the rotation field (-y, x) crosses the A-orbits
-                tu, tv = (normal(-Y * diff(c, X) + X * diff(c, Y)) for c in (fam.u, fam.v))
-            else:
-                # the vertical unit vector crosses the N- and K-orbits
-                tu, tv = (normal(diff(c, Y)) for c in (fam.u, fam.v))
-            out[(sub, ttype)] = FieldData(du, dv, tu, tv)
+            out[(sub, ttype)] = FieldData(
+                *clifford_to_lst(g.a * w + g.b - w * (g.c * w + g.d), units))
     sx.clear_memo()
     return out
 
@@ -246,6 +236,7 @@ def curvature(kind, slot=0):
     ddv = du * diff(dv, X) + dv * diff(dv, Y)
     k = normal((ddu * dv - du * ddv) * (du * du + dv * dv) ** Fraction(-3, 2))
     k_axis = normal(subs(k, {X: 0}))
+    sx.clear_memo()
     return k, k_axis
 
 
@@ -319,9 +310,9 @@ def _node_parameters(sub, kind):
     return [f * math.pi for f in params] if sub == Subgroup.K else params
 
 
-def _transverse_direction(tu, tv):
-    """Infinity maps to a unit axis direction; very large vectors are
-    normalized; anything non-numeric falls back to the horizontal unit."""
+def _transverse_direction(u, v, tu, tv):
+    """(tu, tv) as a direction: infinity maps to a unit axis direction, very
+    large vectors are normalized, anything non-numeric gives the horizontal unit."""
     if math.isnan(tu) or math.isnan(tv):
         return 1.0, 0.0
     if tu == math.inf:
@@ -338,13 +329,12 @@ def _transverse_direction(tu, tv):
     return tu, tv
 
 
-def _sample_streams(kind, sub, kind_name, curves, stream, pen):
+def _sample_streams(kind, kind_name, curves, stream, pen):
     """Run the sampling loop over the direct family and both Cayley-point
-    images, ``stream(family, field)`` giving each one's (fn, direction);
-    returns {transform type: records}."""
-    fams, fields = build_families(kind), vector_fields(kind)
+    images, ``stream(t)`` giving each one's (fn, direction); returns
+    {transform type: records}."""
     return {
-        t: _sample(kind_name, t.label, *stream(fams[(sub, t)], fields[(sub, t)]), curves,
+        t: _sample(kind_name, t.label, *stream(t), curves,
                    partial(_in_limits, kind=kind, cayley=t != TransformType.DIRECT), pen)
         for t in TransformType
     }
@@ -362,15 +352,27 @@ def sample_orbits(kind, sub):
         for vi, (x0, y0) in enumerate(origins)
     ]
 
-    def stream(fam, field):
-        return fam.fn(), field.fn()
+    fams, fields = build_families(kind), vector_fields(kind)
 
-    return _sample_streams(kind, sub, "orbit", curves, stream, 1.5)
+    def stream(t):
+        return fams[(sub, t)].fn(), fields[(sub, t)].fn()
+
+    return _sample_streams(kind, "orbit", curves, stream, 1.5)
+
+
+def _transverse(fam, sub):
+    """The family differentiated along a seed field that crosses its orbits."""
+    if sub == Subgroup.A:
+        # the rotation field (-y, x) crosses the A-orbits
+        return tuple(normal(-Y * diff(c, X) + X * diff(c, Y)) for c in (fam.u, fam.v))
+    # the vertical unit vector crosses the N- and K-orbits
+    return tuple(normal(diff(c, Y)) for c in (fam.u, fam.v))
 
 
 def sample_transverses(kind, sub):
     """Curves crossing the orbit family: the parameter is fixed per curve
-    while the origin sweeps the orbit seeds."""
+    while the origin sweeps the orbit seeds; each stream's transverse
+    direction is built here, where it is read."""
     kind = MetricKind(kind)
     sub = Subgroup(sub)
     origins = _orbit_origins(sub, kind)
@@ -379,11 +381,15 @@ def sample_transverses(kind, sub):
         for t in _node_parameters(sub, kind)
     ]
 
-    def stream(fam, field):
-        fn = compile_ex((fam.u, fam.v, field.trans_u, field.trans_v), (X, Y, T))
-        return fn, lambda u, v, tu, tv: _transverse_direction(tu, tv)
+    fams = build_families(kind)
 
-    return _sample_streams(kind, sub, "transverse", curves, stream, 0.5)
+    def stream(t):
+        fam = fams[(sub, t)]
+        return compile_ex((fam.u, fam.v, *_transverse(fam, sub)), (X, Y, T)), _transverse_direction
+
+    streams = _sample_streams(kind, "transverse", curves, stream, 0.5)
+    sx.clear_memo()
+    return streams
 
 
 ARROW_GRID_COLS = range(-10, 10)

@@ -22,7 +22,9 @@ constructors :func:`add`, :func:`mul` and :func:`pow_` are memoized by
 that structural key, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
 an equal call may return an equal but distinct object, so no rule
 tests nodes by ``is``.  :func:`clear_memo` empties the tables; the EPH
-geometry calls it after each metric's build.
+geometry calls it after each symbolic build (a family, a metric's fields,
+a curvature, the transverses of one sampler call), so none leaves them
+filled.
 """
 
 from __future__ import annotations
@@ -576,19 +578,9 @@ def evalf(e, env=None):
     ``env`` maps symbol names (or Symbols) to numbers, converted to floats
     as constants are (±inf beyond double range); infinities propagate and
     invalid operations yield NaN.  A thin wrapper over :func:`compile_ex`
-    with ``e``'s own symbols, sorted, as the arguments."""
+    with the names of ``env``, in its order, as the arguments."""
     fenv = {_sym_name(k): _float(v) for k, v in (env or {}).items()}
-    names = _symbol_names(_coerce(e))
-    try:
-        args = [fenv[name] for name in names]
-    except KeyError as err:
-        raise FreeSymbolError("no value for symbol %r" % err.args[0]) from None
-    return compile_ex((e,), names)(*args)[0]
-
-
-@lru_cache(maxsize=None)
-def _symbol_names(e):
-    return tuple(sorted({x.name for x in _postorder(e) if isinstance(x, Symbol)}))
+    return compile_ex((e,), tuple(fenv))(*fenv.values())[0]
 
 
 def compile_ex(exprs, args):

@@ -42,3 +42,17 @@ def test_names_read_by_the_job_and_the_probe_exist():
     assert len(ephgeom.ARROW_GRID_COLS) * len(ephgeom.ARROW_GRID_ROWS) > 0
     nodes = range(-ephgeom.FUTURE_PAST_NODES // 2, ephgeom.FUTURE_PAST_NODES // 2 + 1)
     assert ephgeom.FUTURE_PAST_FRAMES * ephgeom.FUTURE_PAST_CURVES * len(nodes) > 0
+
+
+def test_transverse_sampler_calls_normal_by_its_module_name(monkeypatch):
+    # the probe's ephgeom.transverse_tree_nodes sums the normal() results
+    # made inside sample_transverses, looked up as ephgeom.normal
+    from cliffeph import ephgeom
+
+    kind, sub = ephgeom.MetricKind.ELLIPTIC, ephgeom.Subgroup.A
+    ephgeom.build_families(kind)
+    ephgeom.vector_fields(kind)
+    normal, calls = ephgeom.normal, []
+    monkeypatch.setattr(ephgeom, "normal", lambda *args: calls.append(args) or normal(*args))
+    ephgeom.sample_transverses(kind, sub)
+    assert len(calls) > 0

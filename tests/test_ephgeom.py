@@ -37,7 +37,8 @@ from cliffeph import (
 )
 from cliffeph import ephgeom, plotcli
 from cliffeph.ephgeom import (
-    ParabolaFit, VertexReport, _family, _fit_parabola_exact, _sample, _vertex_check_family,
+    ParabolaFit, VertexReport, _family, _fit_parabola_exact, _future_past_family, _sample,
+    _transverse, _vertex_check_family,
 )
 from cliffeph.plotcli import run_verify
 from cliffeph.symexpr import ZERO, SingularSystemError, add, as_fraction_value, lsolve, mul, pow_
@@ -143,11 +144,20 @@ class TestFamilies:
         fams = build_families(kind)
         assert len(fams) == 9
 
-    @pytest.mark.parametrize("build", ["build_families", "vector_fields"])
+    @pytest.mark.parametrize("build", [
+        pytest.param(build_families, id="build_families"),
+        pytest.param(vector_fields, id="vector_fields"),
+        pytest.param(lambda kind: curvature(kind, 1), id="curvature"),
+        pytest.param(lambda kind: verify_k_orbit(kind, 2.0), id="verify_k_orbit"),
+        pytest.param(lambda kind: sample_transverses(kind, Subgroup.A), id="sample_transverses"),
+        pytest.param(lambda kind: _vertex_check_family(Subgroup.A, 1), id="vertex_check_family"),
+        pytest.param(lambda kind: _future_past_family(), id="future_past_family"),
+    ])
     def test_build_leaves_no_constructor_memo(self, build):
-        build = getattr(ephgeom, build)
         for kind in KINDS:
-            build.cache_clear()
+            for cached in (_family, build_families, vector_fields, curvature,
+                           _vertex_check_family, _future_past_family):
+                cached.cache_clear()
             add(x, t), mul(x, t), pow_(x, 5)
             build(kind)
             assert [f.cache_info().currsize for f in (add, mul, pow_)] == [0, 0, 0], kind
@@ -167,13 +177,19 @@ class TestVectorFields:
         assert f.dv == ZERO
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_build_no_family(self, kind):
+        # the fields come from the generators, not from the families
+        for cached in (_family, build_families, vector_fields):
+            cached.cache_clear()
+        vector_fields(kind)
+        assert _family.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_transverse_is_jacobian_vector_product(self, kind):
         # the A-orbits are crossed along the rotation field (-y, x)
-        fields = vector_fields(kind)
-        f = fields[(Subgroup.A, 1)]
         fam = build_families(kind)[(Subgroup.A, TransformType.CAYLEY_POINT)]
         env = {"x": 0.4, "y": 1.3, "t": 0.3}
-        tu = evalf(f.trans_u, env)
+        tu = evalf(_transverse(fam, Subgroup.A)[0], env)
         ju = (
             evalf(diff(fam.u, x), env) * -env["y"]
             + evalf(diff(fam.u, y), env) * env["x"]

@@ -8,6 +8,7 @@ import hashlib
 
 import golden_check
 from cliffeph import MetricKind, build_families, curvature, to_str, vector_fields
+from cliffeph.ephgeom import _transverse
 
 SYMBOLIC_BUILD_SHA256 = "42c0f4155ebd2a34d64b13d7f348b969748b722f06aafdb7241459cd0a5ce4dd"
 
@@ -28,8 +29,7 @@ def test_symbolic_build_matches_pinned_digest():
             exprs += [fams[key].u, fams[key].v]
         fields = vector_fields(kind)
         for key in sorted(fields):
-            f = fields[key]
-            exprs += [f.du, f.dv, f.trans_u, f.trans_v]
+            exprs += [fields[key].du, fields[key].dv, *_transverse(fams[key], key[0])]
         for slot in range(3):
             exprs += curvature(kind, slot)
     text = "".join(to_str(e) + "\n" for e in exprs)

@@ -222,6 +222,12 @@ class TestSubsEvalf:
         assert evalf(e, {x: 2, y: Fraction(1, 2)}) == evalf(e, {"x": 2.0, "y": 0.5})
         assert evalf(e, {x: 2, "y": 0.5}) == 1.0 + math.sin(2.0)
 
+    def test_evalf_binds_by_name_in_any_env_order(self):
+        # the env's names, in its order, are the compiled function's arguments
+        e = x - sin(y)
+        assert evalf(e, {"y": 0.5, "x": 3.0}) == evalf(e, {"x": 3.0, "y": 0.5}) == 3.0 - math.sin(0.5)
+        assert evalf(e, {"t": 9.0, "y": 0.5, "x": 3.0}) == 3.0 - math.sin(0.5)
+
     def test_evalf_sums_fold_left_in_term_order(self):
         # a compensated sum (math.fsum, builtin sum on Python 3.12+) gives 1.0
         a, b, c = symbols("a b c")
