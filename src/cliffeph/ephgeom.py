@@ -259,28 +259,37 @@ def _in_limits(u, v, kind, cayley):
     return -(u * u) + v * v - 1.001 <= 0
 
 
-def _sample(kind_name, label, fn, direction, curves, accept, pen):
-    """The sampling loop of every figure: each point of each (grade, points)
-    curve goes through ``fn(*point)``, giving (u, v, ...).  A point passing
-    ``accept(u, v)`` is emitted with ``direction(*fn(*point))``; any other
-    point ends the polyline, as does the end of a curve.  Returns the
-    records, polylines numbered from 0."""
-    records = []
-    curve_id = -1
+def _is_finite(u, v):
+    return math.isfinite(u) and math.isfinite(v)
+
+
+def _runs(fn, curves, accept):
+    """The one evaluation loop: each point of each (grade, points) curve
+    goes through ``fn(*point)``, giving (u, v, ...).  Yields (grade,
+    outputs) for each maximal run of points passing ``accept(u, v)``; any
+    other point ends a run, as does the end of a curve."""
     for grade, points in curves:
-        drawing = False
+        run = []
         for point in points:
             out = fn(*point)
-            u, v = out[0], out[1]
-            if not accept(u, v):
-                drawing = False
-                continue
-            if not drawing:
-                drawing = True
-                curve_id += 1
-            du, dv = direction(*out)
-            records.append(CurveRecord(curve_id, kind_name, label, u, v, du, dv, grade, pen))
-    return records
+            if accept(out[0], out[1]):
+                run.append(out)
+            elif run:
+                yield grade, run
+                run = []
+        if run:
+            yield grade, run
+
+
+def _sample(kind_name, label, fn, direction, curves, accept, pen):
+    """The sampling loop of every figure: each run of ``_runs`` is one
+    polyline, numbered from 0, and each of its outputs is emitted with
+    ``direction(*output)``.  Returns the records."""
+    return [
+        CurveRecord(curve_id, kind_name, label, out[0], out[1], *direction(*out), grade, pen)
+        for curve_id, (grade, run) in enumerate(_runs(fn, curves, accept))
+        for out in run
+    ]
 
 
 def _orbit_origins(sub, kind):
@@ -480,25 +489,16 @@ _K_CHECK_LABELS = (
 )
 
 
-def _finite_nodes(fam, x0, y0, params):
-    """(u, v) of the family from the origin (x0, y0) at each parameter, or
-    None where u or v is not finite."""
-    fn = fam.fn()
-    return [
-        (u, v) if math.isfinite(u) and math.isfinite(v) else None
-        for u, v in (fn(x0, y0, t) for t in params)
-    ]
-
-
 def verify_k_orbit(kind, v0):
     """Check the closed-form focal property of the K-orbit through (0, v0):
     a circle, a parabola or a hyperbola depending on the metric."""
     kind = MetricKind(kind)
     if v0 <= 0:
         raise ValueError("origin ordinate must be positive")
-    fam = _family(kind, Subgroup.K, TransformType.DIRECT)
+    fn = _family(kind, Subgroup.K, TransformType.DIRECT).fn()
     params = _node_parameters(Subgroup.K, kind)[1:-1]  # sweep endpoints excluded
-    nodes = [p for p in _finite_nodes(fam, 0.0, float(v0), params) if p is not None]
+    curve = (0.0, [(0.0, float(v0), t) for t in params])
+    nodes = [out for _, run in _runs(fn, [curve], _is_finite) for out in run]
     if not nodes:
         raise ValueError("no finite node on the K-orbit through (0, %r)" % (v0,))
     flips = 0
@@ -540,24 +540,19 @@ def verify_k_orbit(kind, v0):
 
 
 @dataclass
-class ParabolaFit:
-    a: float
-    focal_length: float
-    check_value: float    # vertex law residue target -1 (subgroup A only)
-
-
-@dataclass
 class VertexReport:
+    """Per fit, the vertex law value v + sign u^2, target -1 (NaN for N)."""
+
     subgroup: Subgroup
     fits: list = field(default_factory=list)
     skipped: int = 0
 
     @property
     def max_law_deviation(self):
-        checked = [f for f in self.fits if not math.isnan(f.check_value)]
+        checked = [c for c in self.fits if not math.isnan(c)]
         if not checked:
             return math.inf
-        return max(abs(f.check_value + 1) for f in checked)
+        return max(abs(c + 1) for c in checked)
 
     @property
     def ok(self):
@@ -599,12 +594,10 @@ def verify_parabolic_vertices(sub):
     kind = MetricKind.PARABOLIC
     report = VertexReport(subgroup=sub)
     params = _node_parameters(sub, kind)
-    for x0, y0 in _orbit_origins(sub, kind):
-        for image in range(2):
-            pts = _finite_nodes(_vertex_check_family(sub, image), x0, y0, params)
-            for triple in zip(pts, pts[1:], pts[2:]):
-                if None in triple:
-                    continue
+    curves = [(0.0, [(x0, y0, t) for t in params]) for x0, y0 in _orbit_origins(sub, kind)]
+    for image in range(2):
+        for _, run in _runs(_vertex_check_family(sub, image).fn(), curves, _is_finite):
+            for triple in zip(run, run[1:], run[2:]):
                 fit = _fit_parabola_exact(*triple)
                 if fit is None or fit[0] == 0:
                     report.skipped += 1
@@ -619,6 +612,5 @@ def verify_parabolic_vertices(sub):
                     vert_v = c - b * b / (4 * a)
                     law_sign = 1 if image == 0 else -1
                     check = float(vert_v) + law_sign * float(vert_u) ** 2
-                report.fits.append(ParabolaFit(
-                    a=float(a), focal_length=float(Fraction(1, 4) / a), check_value=check))
+                report.fits.append(check)
     return report

@@ -9,6 +9,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 
 from .ephgeom import (
     DEFAULT_TUNING,
@@ -80,17 +81,8 @@ def _jsonl_line(rec):
     return _JSONL_LINE % rec
 
 
-def _polylines(records):
-    runs = []
-    for rec in records:
-        if runs and runs[-1][0] == rec.curve_id:
-            runs[-1][1].append(rec)
-        else:
-            runs.append((rec.curve_id, [rec]))
-    return runs
-
-
 def _gray(grade):
+    (grade,) = _finite(grade)
     level = 0.6 * min(max(grade, 0.0), 1.0)
     return "rgb(%d,%d,%d)" % ((round(255 * level),) * 3)
 
@@ -125,7 +117,8 @@ def _svg_arrow(rec, out):
 def _write_svg(records, fh, limits):
     ulim, vlim = limits
     body = []
-    for _, run in _polylines(records):
+    for _, group in groupby(records, lambda rec: rec.curve_id):
+        run = list(group)
         if run[0].kind == "arrow":
             for rec in run:
                 _svg_arrow(rec, body)

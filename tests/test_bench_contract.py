@@ -56,3 +56,24 @@ def test_transverse_sampler_calls_normal_by_its_module_name(monkeypatch):
     monkeypatch.setattr(ephgeom, "normal", lambda *args: calls.append(args) or normal(*args))
     ephgeom.sample_transverses(kind, sub)
     assert len(calls) > 0
+
+
+def test_probe_hooks_read_the_result_shapes():
+    # the probe's record, attempt and fit counters read each sampler's and
+    # verifier's result; run its hooks as plain functions on real results
+    from types import SimpleNamespace
+
+    from cliffeph import ephgeom
+
+    probe = SimpleNamespace(_ephgeom=ephgeom, _records=0, _attempted=0, _fits=0, _skipped=0)
+    hooks = _load_spans().JobProbe
+    args = (ephgeom.MetricKind.PARABOLIC, ephgeom.Subgroup.N)
+    hooks._on_streams(probe, args, ephgeom.sample_orbits(*args))
+    hooks._on_streams(probe, args, ephgeom.sample_transverses(*args))
+    assert (probe._records, probe._attempted) == (2 * 626, 2 * 630)
+    hooks._on_arrows(probe, args, ephgeom.sample_arrows(*args))
+    hooks._on_future_past(probe, (), ephgeom.sample_future_past())
+    assert (probe._records, probe._attempted) == (2 * 626 + 220 + 4342, 2 * 630 + 220 + 4920)
+    for sub in (ephgeom.Subgroup.A, ephgeom.Subgroup.N):
+        hooks._on_vertices(probe, (sub,), ephgeom.verify_parabolic_vertices(sub))
+    assert (probe._fits, probe._skipped) == (1160 + 380, 0)

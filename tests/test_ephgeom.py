@@ -37,7 +37,7 @@ from cliffeph import (
 )
 from cliffeph import ephgeom, plotcli
 from cliffeph.ephgeom import (
-    ParabolaFit, VertexReport, _family, _fit_parabola_exact, _future_past_family, _sample,
+    VertexReport, _family, _fit_parabola_exact, _future_past_family, _sample,
     _transverse, _vertex_check_family,
 )
 from cliffeph.plotcli import run_verify
@@ -353,13 +353,13 @@ class TestVerify:
     def test_vertex_report_subgroup_n_has_fits_without_law(self):
         rep = verify_parabolic_vertices(Subgroup.N)
         assert rep.fits
-        assert all(math.isnan(f.check_value) for f in rep.fits)
+        assert all(math.isnan(check) for check in rep.fits)
 
     def test_vertex_report_owns_the_law_tolerance(self, monkeypatch):
-        miss = VertexReport(Subgroup.A, [ParabolaFit(1.0, 0.25, -1 - 2e-6)])
+        miss = VertexReport(Subgroup.A, [-1 - 2e-6])
         assert not miss.ok
-        assert VertexReport(Subgroup.A, [ParabolaFit(1.0, 0.25, -1 + 5e-7)]).ok
-        assert VertexReport(Subgroup.N, [ParabolaFit(1.0, 0.25, math.nan)]).ok
+        assert VertexReport(Subgroup.A, [-1 + 5e-7]).ok
+        assert VertexReport(Subgroup.N, [math.nan]).ok
         monkeypatch.setattr(plotcli, "verify_parabolic_vertices", lambda sub: miss)
         out = io.StringIO()
         config = JobConfig(kinds=[MetricKind.PARABOLIC], subs=[Subgroup.A])
@@ -415,11 +415,84 @@ class TestVerify:
             fu, fv = family.fn()(0.0, float(v0), 2 * math.atan(sval))
             assert (fu, fv) == pytest.approx((float(pu), float(pv)), rel=1e-9, abs=1e-12)
 
-    def test_fit_focal_length(self):
-        rep = verify_parabolic_vertices(Subgroup.A)
-        unit = [f for f in rep.fits if abs(abs(f.a) - 1) < 1e-9]
-        assert unit
-        assert all(abs(abs(f.focal_length) - 0.25) < 1e-9 for f in unit)
+
+
+def _unit_circle(m):
+    """The rational point (cos t, sin t) at the half-angle tan(t/2) = m."""
+    return (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
+
+
+class TestExactLaws:
+    """The paper's laws checked with ``==`` on exact rational points of the
+    orbits: the matrices have rational entries, so the Moebius map of a
+    rational origin is rational."""
+
+    ORIGINS = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+               (Fraction(-8, 17), Fraction(15, 17))]
+    # exp(t) for A and t for N
+    PARAMS = {
+        Subgroup.A: [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5)],
+        Subgroup.N: [Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(5, 2)],
+    }
+    V0 = [Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5, 3)]
+    HALF_ANGLES = [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(-3, 4), Fraction(5)]
+
+    @staticmethod
+    def _point(kind, mat, x0, y0):
+        u, v = clifford_moebius_map(mat, (rational(x0), rational(y0)), metric_for(kind))
+        return as_fraction_value(u), as_fraction_value(v)
+
+    @pytest.mark.parametrize("image", [0, 1])
+    @pytest.mark.parametrize("sub", [Subgroup.A, Subgroup.N])
+    def test_vertex_check_images_are_unit_parabolas(self, sub, image):
+        kind = MetricKind.PARABOLIC
+        metric = metric_for(kind)
+        e0, e1 = clifford_units(metric)
+        one = dirac_ONE(metric)
+        zero = one.scale(0)
+        cayley = CMat2(one, -e1, -e1 if image == 0 else e1, one)
+        law_sign = 1 if image == 0 else -1
+        fn = _vertex_check_family(sub, image).fn()
+        for x0, y0 in self.ORIGINS:
+            pts = []
+            for p in self.PARAMS[sub]:
+                if sub == Subgroup.A:
+                    mat, t_val = CMat2(one.scale(p), zero, zero, one.scale(1 / p)), math.log(p)
+                else:
+                    mat, t_val = CMat2(one, e0.scale(p), zero, one), float(p)
+                pts.append(self._point(kind, mat_mul(cayley, mat), x0, y0))
+                # the program's vertex-check family passes through the same point
+                assert fn(float(x0), float(y0), t_val) == pytest.approx(
+                    tuple(map(float, pts[-1])), rel=1e-9, abs=1e-12)
+            for triple in zip(pts, pts[1:], pts[2:]):
+                a, b, c = _fit_parabola_exact(*triple)
+                assert a == law_sign  # focal length 1/4
+                if sub == Subgroup.A:
+                    vert_u, vert_v = -b / (2 * a), c - b * b / (4 * a)
+                    assert vert_v + law_sign * vert_u ** 2 == -1
+
+    @pytest.mark.parametrize("kind", [MetricKind.ELLIPTIC, MetricKind.PARABOLIC])
+    def test_k_orbit_focal_laws(self, kind):
+        metric = metric_for(kind)
+        e0, _ = clifford_units(metric)
+        one = dirac_ONE(metric)
+        for v0 in self.V0:
+            # circle: center (0, cy), radius r; parabola: focus (0, fy),
+            # directrix v = -d
+            cy, r = (v0 + 1 / v0) / 2, (v0 - 1 / v0) / 2
+            fy, d = v0 + 1 / (4 * v0), 1 / (4 * v0) - v0
+            for m in self.HALF_ANGLES:
+                cos_t, sin_t = _unit_circle(m)
+                k_mat = CMat2(one.scale(cos_t), e0.scale(sin_t), e0.scale(sin_t),
+                              one.scale(cos_t))
+                u, v = self._point(kind, k_mat, 0, v0)
+                if kind == MetricKind.ELLIPTIC:
+                    assert u ** 2 + (v - cy) ** 2 == r ** 2
+                else:
+                    assert u ** 2 + (v - fy) ** 2 == (v + d) ** 2 and v + d >= 0
+            # the report's value is the law's constant
+            expected = abs(r) if kind == MetricKind.ELLIPTIC else d
+            assert verify_k_orbit(kind, float(v0)).expected == pytest.approx(float(expected))
 
 
 def _lsolve_fit(points):

@@ -72,10 +72,15 @@ class TestWriteSafety:
         assert os.listdir(tmp_path) == [path.name]
 
     @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_number_raises_and_leaves_no_file(self, tmp_path, fmt, bad):
+    @pytest.mark.parametrize("name,bad", [
+        pytest.param(name, bad, id=("%s" if name == "v" else "grade-%s") % bad)
+        for name in ("v", "color_grade") for bad in (math.nan, math.inf, -math.inf)
+    ])
+    def test_non_finite_number_raises_and_leaves_no_file(self, tmp_path, fmt, name, bad):
+        # a polyline is drawn in its first record's grade, so both records carry it
+        first = {"color_grade": bad} if name == "color_grade" else {}
         with pytest.raises(ValueError):
-            write_curves([_rec(), _rec(u=0.7, v=bad)], tmp_path / ("a." + fmt), fmt)
+            write_curves([_rec(**first), _rec(u=0.7, **{name: bad})], tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
 
     def test_unwritable_path_wraps_os_error(self, tmp_path):
