@@ -495,6 +495,8 @@ def verify_k_orbit(kind, v0):
     kind = MetricKind(kind)
     if v0 <= 0:
         raise ValueError("origin ordinate must be positive")
+    if not (math.isfinite(v0) and math.isfinite(1 / v0)):
+        raise ValueError("origin (0, %r): the ordinate and its reciprocal must be finite" % (v0,))
     fn = _family(kind, Subgroup.K, TransformType.DIRECT).fn()
     params = _node_parameters(Subgroup.K, kind)[1:-1]  # sweep endpoints excluded
     curve = (0.0, [(0.0, float(v0), t) for t in params])
@@ -526,13 +528,7 @@ def verify_k_orbit(kind, v0):
         flips = sum(
             1 for s0, s1 in zip(values, values[1:]) if s0 * s1 < 0
         )
-    return KOrbitReport(
-        kind=kind,
-        expected=expected,
-        max_residual=residual,
-        sign_flips=flips,
-        label=_K_CHECK_LABELS[kind],
-    )
+    return KOrbitReport(kind, expected, residual, flips, _K_CHECK_LABELS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +556,19 @@ class VertexReport:
         return self.subgroup != Subgroup.A or self.max_law_deviation <= 1e-6
 
 
-def _fit_parabola_exact(p0, p1, p2):
-    """Exact (a, b, c) of v = a u^2 + b u + c through three points, each
-    taken exactly as Fractions, by Newton divided differences; None when
-    two abscissae coincide."""
-    (u0, v0), (u1, v1), (u2, v2) = ((Fraction(u), Fraction(v)) for u, v in (p0, p1, p2))
-    if u0 == u1 or u0 == u2 or u1 == u2:
+def _fit_parabola(p0, p1, p2):
+    """v = a u^2 + b u + c through three points exactly, as ints (an, bn, cn, ad, D):
+    a = an D / ad, b = bn / ad and c = cn / (ad D), ad > 0, D the lcm of the
+    denominators.  None when two abscissae coincide or the points are collinear."""
+    ratios = [x.as_integer_ratio() for point in sorted((p0, p1, p2)) for x in point]
+    d = math.lcm(*[den for _, den in ratios])
+    u0, v0, u1, v1, u2, v2 = [num * (d // den) for num, den in ratios]
+    an = (v2 - v1) * (u1 - u0) - (v1 - v0) * (u2 - u1)
+    ad = (u2 - u1) * (u1 - u0) * (u2 - u0)
+    if ad == 0 or an == 0:
         return None
-    d01 = (v1 - v0) / (u1 - u0)
-    a = ((v2 - v1) / (u2 - u1) - d01) / (u2 - u0)
-    b = d01 - a * (u0 + u1)
-    return a, b, v0 - u0 * (d01 - a * u1)
+    w = (v1 - v0) * (u2 - u1) * (u2 - u0)
+    return an, w - an * (u0 + u1), v0 * ad - u0 * (w - an * u1), ad, d
 
 
 @lru_cache(maxsize=None)
@@ -598,19 +596,20 @@ def verify_parabolic_vertices(sub):
     for image in range(2):
         for _, run in _runs(_vertex_check_family(sub, image).fn(), curves, _is_finite):
             for triple in zip(run, run[1:], run[2:]):
-                fit = _fit_parabola_exact(*triple)
-                if fit is None or fit[0] == 0:
+                fit = _fit_parabola(*triple)
+                if fit is None:
                     report.skipped += 1
                     continue
-                a, b, c = fit
+                an, bn, cn, ad, d = fit
                 # The two images open in opposite directions, so the
                 # vertex laws v = -u^2 - 1 and v = u^2 - 1 mirror each
                 # other; the law holds for subgroup A only.
                 check = math.nan
                 if sub == Subgroup.A:
-                    vert_u = -b / (2 * a)
-                    vert_v = c - b * b / (4 * a)
+                    # an / an keeps the divisors positive: 0 / -k is -0.0, not 0.0
+                    vert_u = -an * bn / (2 * an * an * d)
+                    vert_v = an * (4 * an * cn - bn * bn) / (4 * an * an * ad * d)
                     law_sign = 1 if image == 0 else -1
-                    check = float(vert_v) + law_sign * float(vert_u) ** 2
+                    check = vert_v + law_sign * vert_u ** 2
                 report.fits.append(check)
     return report

@@ -1,6 +1,8 @@
 import io
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +39,7 @@ from cliffeph import (
 )
 from cliffeph import ephgeom, plotcli
 from cliffeph.ephgeom import (
-    VertexReport, _family, _fit_parabola_exact, _future_past_family, _sample,
+    VertexReport, _family, _fit_parabola, _future_past_family, _sample,
     _transverse, _vertex_check_family,
 )
 from cliffeph.plotcli import run_verify
@@ -345,6 +347,15 @@ class TestVerify:
             verify_k_orbit(kind, v0)
         assert "(0, %r)" % v0 in str(err.value)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("v0", [math.nan, math.inf, 1e-320])
+    def test_origin_without_finite_reciprocal_rejected(self, kind, v0):
+        # 1 / 1e-320 overflows to inf: the laws of all three metrics use 1 / v0
+        with pytest.raises(ValueError) as err:
+            verify_k_orbit(kind, v0)
+        assert str(err.value) == (
+            "origin (0, %r): the ordinate and its reciprocal must be finite" % v0)
+
     def test_vertex_law_subgroup_a(self):
         rep = verify_parabolic_vertices(Subgroup.A)
         assert rep.fits
@@ -465,13 +476,15 @@ class TestExactLaws:
                 assert fn(float(x0), float(y0), t_val) == pytest.approx(
                     tuple(map(float, pts[-1])), rel=1e-9, abs=1e-12)
             for triple in zip(pts, pts[1:], pts[2:]):
-                a, b, c = _fit_parabola_exact(*triple)
-                assert a == law_sign  # focal length 1/4
+                an, bn, cn, ad, d = _fit_parabola(*triple)
+                assert Fraction(an * d, ad) == law_sign  # focal length 1/4
                 if sub == Subgroup.A:
-                    vert_u, vert_v = -b / (2 * a), c - b * b / (4 * a)
+                    # the vertex as the verifier computes it, in Fractions
+                    vert_u = Fraction(-bn, 2 * an * d)
+                    vert_v = Fraction(4 * an * cn - bn * bn, 4 * an * ad * d)
                     assert vert_v + law_sign * vert_u ** 2 == -1
 
-    @pytest.mark.parametrize("kind", [MetricKind.ELLIPTIC, MetricKind.PARABOLIC])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_k_orbit_focal_laws(self, kind):
         metric = metric_for(kind)
         e0, _ = clifford_units(metric)
@@ -481,6 +494,12 @@ class TestExactLaws:
             # directrix v = -d
             cy, r = (v0 + 1 / v0) / 2, (v0 - 1 / v0) / 2
             fy, d = v0 + 1 / (4 * v0), 1 / (4 * v0) - v0
+            # hyperbola: foci (0, f) and (0, f - 2p) in Q(sqrt 2), with
+            # p = q sqrt 2; the difference of the focal distances is 2q
+            q, disc = (v0 * v0 + 1) / (2 * v0), _QSqrt2(abs(v0 * v0 - 1) / (2 * v0))
+            p = _QSqrt2(0, q)
+            f = p - disc if v0 < 1 else p + disc
+            two_p2 = p * p + p * p
             for m in self.HALF_ANGLES:
                 cos_t, sin_t = _unit_circle(m)
                 k_mat = CMat2(one.scale(cos_t), e0.scale(sin_t), e0.scale(sin_t),
@@ -488,11 +507,41 @@ class TestExactLaws:
                 u, v = self._point(kind, k_mat, 0, v0)
                 if kind == MetricKind.ELLIPTIC:
                     assert u ** 2 + (v - cy) ** 2 == r ** 2
-                else:
+                elif kind == MetricKind.PARABOLIC:
                     assert u ** 2 + (v - fy) ** 2 == (v + d) ** 2 and v + d >= 0
+                else:
+                    # squared focal distances A and B: |sqrt A - sqrt B| = p sqrt 2,
+                    # squared twice
+                    uq, vq = _QSqrt2(u), _QSqrt2(v)
+                    dist_a = uq * uq + (vq - f) * (vq - f)
+                    dist_b = uq * uq + (vq - f + p + p) * (vq - f + p + p)
+                    four_ab = _QSqrt2(4) * dist_a * dist_b
+                    side = dist_a + dist_b - two_p2
+                    assert side * side == four_ab
+                    off = side - _QSqrt2(Fraction(1, 1000))  # 2p^2 shifted by 1/1000
+                    assert off * off != four_ab
             # the report's value is the law's constant
-            expected = abs(r) if kind == MetricKind.ELLIPTIC else d
+            expected = (abs(r), d, 2 * q)[kind]
             assert verify_k_orbit(kind, float(v0)).expected == pytest.approx(float(expected))
+
+
+@dataclass(frozen=True)
+class _QSqrt2:
+    """x + y sqrt(2) with rational x and y, exactly; as sqrt(2) is
+    irrational, two such numbers are equal when their (x, y) are."""
+
+    x: Fraction
+    y: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return _QSqrt2(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other):
+        return _QSqrt2(self.x - other.x, self.y - other.y)
+
+    def __mul__(self, other):
+        x, y = self.x * other.x + 2 * self.y * other.y, self.x * other.y + self.y * other.x
+        return _QSqrt2(x, y)
 
 
 def _lsolve_fit(points):
@@ -517,9 +566,91 @@ _points = st.tuples(
 @given(st.tuples(_points, _points, _points))
 @example(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(0), Fraction(0))))
 @example(((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+@example(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(5, 2), Fraction(5, 2))))
 def test_fit_parabola_matches_lsolve(points):
-    fit = _fit_parabola_exact(*points)
-    assert fit == _lsolve_fit(points)
-    if fit is not None:
-        a, b, c = fit
-        assert all(a * u * u + b * u + c == v for u, v in points)
+    fit = _fit_parabola(*points)
+    expected = _lsolve_fit(points)
+    if fit is None:
+        # coincident abscissae, or collinear points
+        assert expected is None or expected[0] == 0
+        return
+    an, bn, cn, ad, d = fit
+    assert ad > 0
+    a, b, c = Fraction(an * d, ad), Fraction(bn, ad), Fraction(cn, ad * d)
+    assert (a, b, c) == expected
+    assert all(a * u * u + b * u + c == v for u, v in points)
+
+
+def _fraction_law_value(triple, law_sign):
+    """Reference vertex law value v + sign u^2 of the parabola through
+    three points, by the Fraction fit (Newton divided differences) that
+    the integer fit replaced; None for a skipped fit."""
+    (u0, v0), (u1, v1), (u2, v2) = ((Fraction(u), Fraction(v)) for u, v in triple)
+    if u0 == u1 or u0 == u2 or u1 == u2:
+        return None
+    d01 = (v1 - v0) / (u1 - u0)
+    a = ((v2 - v1) / (u2 - u1) - d01) / (u2 - u0)
+    if a == 0:
+        return None
+    b = d01 - a * (u0 + u1)
+    c = v0 - u0 * (d01 - a * u1)
+    return float(c - b * b / (4 * a)) + law_sign * float(-b / (2 * a)) ** 2
+
+
+def test_integer_fit_keeps_every_vertex_law_value_bit_for_bit():
+    # float.hex tells every bit apart, -0.0 from 0.0 too
+    kind = MetricKind.PARABOLIC
+    fits = skipped = 0
+    for sub in (Subgroup.A, Subgroup.N):
+        params = ephgeom._node_parameters(sub, kind)
+        curves = [(0.0, [(x0, y0, t) for t in params])
+                  for x0, y0 in ephgeom._orbit_origins(sub, kind)]
+        expected, skips = [], 0
+        for image in range(2):
+            fn = _vertex_check_family(sub, image).fn()
+            for _, run in ephgeom._runs(fn, curves, ephgeom._is_finite):
+                for triple in zip(run, run[1:], run[2:]):
+                    value = _fraction_law_value(triple, 1 if image == 0 else -1)
+                    if value is None:
+                        skips += 1
+                    else:
+                        expected.append(value if sub == Subgroup.A else math.nan)
+        report = verify_parabolic_vertices(sub)
+        assert [c.hex() for c in report.fits] == [c.hex() for c in expected]
+        assert report.skipped == skips
+        fits, skipped = fits + len(report.fits), skipped + report.skipped
+    assert (fits, skipped) == (1540, 0)
+
+
+def _verify_triple(triple):
+    """verify_parabolic_vertices(A) with one run, ``triple``, in both images."""
+    with mock.patch.object(ephgeom, "_runs", lambda fn, curves, accept: [(0.0, triple)]):
+        return verify_parabolic_vertices(Subgroup.A)
+
+
+# a few fixed values, so that coincident abscissae and collinear points are
+# drawn often, among finite floats of every exponent
+_coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=3))
+@example([(1.0, 0.0), (1.0, 2.0), (0.0, 0.0)])      # coincident abscissae
+@example([(-1.0, -1.0), (0.0, 0.0), (2.0, 2.0)])    # collinear
+@example([(-1.0, -1.0), (-0.0, 0.0), (1.0, -1.0)])  # v = -u^2: vertex (0, 0), an < 0
+@example([(2.0 ** -1074, 1.0), (1e300, 0.5), (-1e300, 3.0)])
+def test_integer_fit_law_values_match_the_fraction_path(triple):
+    try:
+        expected = [_fraction_law_value(triple, law_sign) for law_sign in (1, -1)]
+    except OverflowError:
+        # the vertex is beyond the float range; so it is for the integer fit
+        with pytest.raises(OverflowError):
+            _verify_triple(triple)
+        return
+    report = _verify_triple(triple)
+    if expected[0] is None:
+        assert (report.fits, report.skipped) == ([], 2)
+    else:
+        assert [c.hex() for c in report.fits] == [c.hex() for c in expected]
+        assert report.skipped == 0
