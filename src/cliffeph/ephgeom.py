@@ -607,9 +607,12 @@ def verify_parabolic_vertices(sub):
                 check = math.nan
                 if sub == Subgroup.A:
                     # an / an keeps the divisors positive: 0 / -k is -0.0, not 0.0
-                    vert_u = -an * bn / (2 * an * an * d)
-                    vert_v = an * (4 * an * cn - bn * bn) / (4 * an * an * ad * d)
                     law_sign = 1 if image == 0 else -1
-                    check = vert_v + law_sign * vert_u ** 2
+                    try:
+                        vert_u = -an * bn / (2 * an * an * d)
+                        vert_v = an * (4 * an * cn - bn * bn) / (4 * an * an * ad * d)
+                        check = vert_v + law_sign * vert_u ** 2
+                    except OverflowError:  # a vertex beyond the float range fails the law
+                        check = math.inf
                 report.fits.append(check)
     return report

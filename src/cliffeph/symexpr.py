@@ -14,17 +14,15 @@ children first, and :func:`diff`, :func:`subs` and the straight-line
 Python that :func:`compile_ex` builds once per tuple of outputs handle
 each node once, in that order, however large the tree is.
 
-Identity lives in one place: every node stores its term-order key
-``_key``, a tuple built once from its children's stored keys.  ``==``
-compares keys, the constructors sort terms and factors by them, and the
-cached ``hash`` is built from the children's cached hashes.  The
-constructors :func:`add`, :func:`mul` and :func:`pow_` are memoized by
-that structural key, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
-an equal call may return an equal but distinct object, so no rule
-tests nodes by ``is``.  :func:`clear_memo` empties the tables; the EPH
-geometry calls it after each symbolic build (a family, a metric's fields,
-a curvature, the transverses of one sampler call), so none leaves them
-filled.
+Every node is unique (hash-consed): a constructor first looks its class
+and fields up in one module table, so equal structures are one object and
+``==`` and ``hash`` are identity.  ``_key``, built once from the
+children's keys, is only the term order the constructors sort by.  The
+table is never emptied; a whole ``cliffeph all`` leaves 2,974 nodes in
+it.  :func:`add`, :func:`mul` and :func:`pow_` are memoized by their
+arguments, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
+:func:`clear_memo` empties those memos, not the table, after each
+symbolic build of the EPH geometry.
 """
 
 from __future__ import annotations
@@ -56,8 +54,23 @@ class NonLinearError(ExprError):
 # Expression nodes
 
 
+# Every node ever built, keyed by its class and fields: children, being
+# unique, hash by identity, and a Rational by its (numerator, denominator).
+_NODES = {}
+
+
 class Expr:
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key",)
+
+    def __new__(cls, *fields):
+        """The one node of ``cls`` with these fields, built on first use."""
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node._fill(*fields)  # filled before it is published
+            node = _NODES.setdefault(key, node)
+        return node
 
     # Arithmetic sugar; every operator funnels into the canonicalizing
     # constructors below.
@@ -95,30 +108,29 @@ class Expr:
     def __repr__(self):
         return to_str(self)
 
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
 
 class Rational(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
+    def __new__(cls, value):
+        value = value if isinstance(value, Fraction) else Fraction(value)
+        return Expr.__new__(cls, value.as_integer_ratio())
+
+    def _fill(self, ratio):
+        self.value = Fraction(*ratio)
         self._key = (0, self.value)
-        self._hash = hash(("rat", self.value))
 
 
 class Symbol(Expr):
     __slots__ = ("name", "positive")
 
-    def __init__(self, name, positive=False):
+    def __new__(cls, name, positive=False):
+        return Expr.__new__(cls, name, bool(positive))
+
+    def _fill(self, name, positive):
         self.name = name
-        self.positive = bool(positive)
-        self._key = (1, name, self.positive)
-        self._hash = hash(("sym", name, self.positive))
+        self.positive = positive
+        self._key = (1, name, positive)
 
 
 class Add(Expr):
@@ -126,10 +138,9 @@ class Add(Expr):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
+    def _fill(self, terms):
         self.terms = terms
         self._key = (5, tuple(t._key for t in terms))
-        self._hash = hash(("add", terms))
 
 
 class Mul(Expr):
@@ -137,10 +148,9 @@ class Mul(Expr):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
+    def _fill(self, factors):
         self.factors = factors
         self._key = (4, tuple(f._key for f in factors))
-        self._hash = hash(("mul", factors))
 
 
 class Pow(Expr):
@@ -148,21 +158,19 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base, exponent):
+    def _fill(self, base, exponent):
         self.base = base
         self.exponent = exponent
         self._key = (3, base._key, exponent)
-        self._hash = hash(("pow", base, exponent))
 
 
 class Func(Expr):
     __slots__ = ("name", "arg")
 
-    def __init__(self, name, arg):
+    def _fill(self, name, arg):
         self.name = name
         self.arg = arg
         self._key = (2, name, arg._key)
-        self._hash = hash(("fun", name, arg))
 
 
 ZERO = Rational(Fraction(0))
@@ -361,8 +369,8 @@ def mul(*factors):
     while pending:
         f = pending.pop()
         if isinstance(f, Rational):
-            if f.value == 0:
-                return ZERO
+            if f is ZERO:
+                return f
             coeff *= f.value
         elif isinstance(f, Mul):
             pending.extend(f.factors)
@@ -377,13 +385,13 @@ def mul(*factors):
     for base in sorted(powers, key=_term_order):
         p = pow_(base, powers[base])
         if isinstance(p, Rational):
-            if p.value == 0:
-                return ZERO
+            if p is ZERO:
+                return p
             coeff *= p.value
         elif isinstance(p, Add):
             adds.append(p)
         # kept only on its own base: one that reduced to another may merge with it
-        elif (powers[base] == 1 and isinstance(p, (Symbol, Func))) or (isinstance(p, Pow) and p.base == base):
+        elif (powers[base] == 1 and isinstance(p, (Symbol, Func))) or (isinstance(p, Pow) and p.base is base):
             atoms.append(p)
         else:
             requeue.append(p)
@@ -404,7 +412,8 @@ def mul(*factors):
 
 
 def clear_memo():
-    """Empty the memo tables of :func:`add`, :func:`mul` and :func:`pow_`."""
+    """Empty the memo tables of :func:`add`, :func:`mul` and :func:`pow_`;
+    the nodes themselves stay unique, so a rebuild returns the same objects."""
     for constructor in (add, mul, pow_):
         constructor.cache_clear()
 
@@ -414,9 +423,7 @@ _FUNC_AT_ZERO = {"sin": ZERO, "cos": ONE, "exp": ONE, "cosh": ONE, "sinh": ZERO}
 
 def _make_func(name, arg):
     arg = _coerce(arg)
-    if arg == ZERO:
-        return _FUNC_AT_ZERO[name]
-    return Func(name, arg)
+    return _FUNC_AT_ZERO[name] if arg is ZERO else Func(name, arg)
 
 
 def sin(arg):
@@ -456,9 +463,9 @@ def _children(e):
 
 
 def _postorder(*roots):
-    """Each structurally distinct node of the roots once, children before
-    parents and left to right.  Iterative, so a deep expression cannot
-    exceed Python's recursion limit."""
+    """Each distinct node of the roots once, children before parents and
+    left to right.  Iterative, so a deep expression cannot exceed Python's
+    recursion limit."""
     order, seen, stack = [], set(), [(e, False) for e in reversed(roots)]
     while stack:
         x, expanded = stack.pop()
@@ -515,18 +522,18 @@ def _d(e, s, d):
         fs = e.factors
         for i, fi in enumerate(fs):
             dfi = d(fi)
-            if dfi == ZERO:
+            if dfi is ZERO:
                 continue
             parts.append(mul(dfi, *(fs[:i] + fs[i + 1:])))
         return add(*parts) if parts else ZERO
     if isinstance(e, Pow):
         db = d(e.base)
-        if db == ZERO:
+        if db is ZERO:
             return ZERO
         return mul(Rational(e.exponent), pow_(e.base, e.exponent - 1), db)
     if isinstance(e, Func):
         da = d(e.arg)
-        if da == ZERO:
+        if da is ZERO:
             return ZERO
         u = e.arg
         outer = {
@@ -600,9 +607,9 @@ _CHAIN = 64
 @lru_cache(maxsize=None)
 def _compile(exprs, args):
     """Straight-line Python for the tuple ``exprs`` over the positional
-    parameters ``args``: one assignment per structurally distinct node of
-    all of them, so a subexpression shared within or between outputs is
-    computed once per call.
+    parameters ``args``: one assignment per distinct node of all of them,
+    so a subexpression shared within or between outputs is computed once
+    per call.
 
     A sum folds left from int 0 in term order (``0 + a + b``, what builtin
     ``sum`` did before Python 3.12 made float sums compensated), a product
@@ -780,7 +787,7 @@ def normal(e):
     """
     e = _coerce(e)
     num, den = _as_fraction(e)
-    if den == ONE:
+    if den is ONE:
         return num
     den_pows = _mul_powers(den)
     den_coeff = _coeff(den)
@@ -798,7 +805,7 @@ def normal(e):
     if den_coeff != 1:
         num = mul(num, Rational(1 / den_coeff))
         den = mul(den, Rational(1 / den_coeff))
-    if den == ONE:
+    if den is ONE:
         return num
     return mul(num, pow_(den, -1))
 
@@ -837,7 +844,7 @@ def lsolve(equations, variables):
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if normal(aug[r][col]) != ZERO:
+            if normal(aug[r][col]) is not ZERO:
                 piv = r
                 break
         if piv is None:
@@ -849,7 +856,7 @@ def lsolve(equations, variables):
             if r == col:
                 continue
             f = aug[r][col]
-            if f == ZERO:
+            if f is ZERO:
                 continue
             aug[r] = [
                 normal(add(a, mul(_MINUS_ONE, f, p)))

@@ -4,7 +4,10 @@ Runs ``cli_main(["all", "--format", FMT, "--out", DIR])`` for JSONL and
 for SVG, each into a temporary directory, and compares the exit status,
 the printed paths, the directory listing, the sha256 of each of the 71
 files and the digest of the verify report with ``bench/golden.json``,
-which it only reads.  It uses only the standard library and the package
+which it only reads.  It also compares the printed canonical form of
+every symbolic family, field, transverse and curvature with a pinned
+digest, which catches a change in term order that leaves floats equal.
+It uses only the standard library and the package
 sources beside it, so any interpreter the package supports can run it
 without an install:
 
@@ -24,7 +27,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from cliffeph import cli_main  # noqa: E402
+from cliffeph import MetricKind, build_families, cli_main, curvature, to_str, vector_fields  # noqa: E402
+from cliffeph.ephgeom import _transverse  # noqa: E402
+
+SYMBOLIC_BUILD_SHA256 = "42c0f4155ebd2a34d64b13d7f348b969748b722f06aafdb7241459cd0a5ce4dd"
 
 
 def _sha256(path):
@@ -69,8 +75,27 @@ def mismatches(formats=("jsonl", "svg")):
     return [line for fmt in formats for line in _mismatches_for(fmt, golden)]
 
 
+def symbolic_build_mismatches():
+    """A line if the canonical forms of the symbolic build differ from the
+    pinned digest, or []."""
+    exprs = []
+    for kind in MetricKind:
+        fams = build_families(kind)
+        for key in sorted(fams):
+            exprs += [fams[key].u, fams[key].v]
+        fields = vector_fields(kind)
+        for key in sorted(fields):
+            exprs += [fields[key].du, fields[key].dv, *_transverse(fams[key], key[0])]
+        for slot in range(3):
+            exprs += curvature(kind, slot)
+    text = "".join(to_str(e) + "\n" for e in exprs)
+    if hashlib.sha256(text.encode()).hexdigest() != SYMBOLIC_BUILD_SHA256:
+        return ["symbolic build differs from its pinned digest"]
+    return []
+
+
 def main():
-    found = mismatches()
+    found = mismatches() + symbolic_build_mismatches()
     version = "%d.%d.%d" % sys.version_info[:3]
     for line in found:
         print("python %s: %s" % (version, line))

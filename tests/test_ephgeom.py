@@ -32,6 +32,7 @@ from cliffeph import (
     sample_transverses,
     subgroup_exp,
     subs,
+    symbol,
     symbols,
     vector_fields,
     verify_k_orbit,
@@ -43,7 +44,9 @@ from cliffeph.ephgeom import (
     _transverse, _vertex_check_family,
 )
 from cliffeph.plotcli import run_verify
-from cliffeph.symexpr import ZERO, SingularSystemError, add, as_fraction_value, lsolve, mul, pow_
+from cliffeph.symexpr import (
+    ZERO, SingularSystemError, add, as_fraction_value, clear_memo, lsolve, mul, pow_,
+)
 
 from conftest import operator_family
 
@@ -145,6 +148,18 @@ class TestFamilies:
     def test_all_nine_families_built(self, kind):
         fams = build_families(kind)
         assert len(fams) == 9
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rebuilt_family_is_made_of_the_same_nodes(self, kind):
+        first = build_families(kind)
+        clear_memo()
+        assert symbol("x") is ephgeom.X
+        assert rational(0) is ZERO
+        _family.cache_clear()
+        for (sub, ttype), fam in first.items():
+            again = _family(kind, sub, ttype)
+            assert again is not fam
+            assert again.u is fam.u and again.v is fam.v
 
     @pytest.mark.parametrize("build", [
         pytest.param(build_families, id="build_families"),
@@ -640,15 +655,17 @@ _coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]),
 @example([(-1.0, -1.0), (0.0, 0.0), (2.0, 2.0)])    # collinear
 @example([(-1.0, -1.0), (-0.0, 0.0), (1.0, -1.0)])  # v = -u^2: vertex (0, 0), an < 0
 @example([(2.0 ** -1074, 1.0), (1e300, 0.5), (-1e300, 3.0)])
+@example([(0.0, 0.0), (1.0, 1e300), (2.0, 2e300 * (1 + 2 ** -52))])  # vertex beyond float range
 def test_integer_fit_law_values_match_the_fraction_path(triple):
+    report = _verify_triple(triple)
     try:
         expected = [_fraction_law_value(triple, law_sign) for law_sign in (1, -1)]
     except OverflowError:
-        # the vertex is beyond the float range; so it is for the integer fit
-        with pytest.raises(OverflowError):
-            _verify_triple(triple)
+        # the vertex is beyond the float range: the fit counts and fails the law
+        assert report.fits == [math.inf, math.inf]
+        assert report.skipped == 0
+        assert not report.ok
         return
-    report = _verify_triple(triple)
     if expected[0] is None:
         assert (report.fits, report.skipped) == ([], 2)
     else:

@@ -1,7 +1,9 @@
 """Runs ``tests/golden_check.py`` under each CPython 3.10-3.13 found on
-this host, so the golden bytes are checked on every Python the package
-admits, not only the one running pytest.  A version with no working
-interpreter is skipped with the reason."""
+this host, so the golden bytes and the symbolic build's canonical forms
+are checked on every Python the package admits, not only the one running
+pytest; an order that depended on iterating a set of nodes, which hash by
+identity, would show here.  A version with no working interpreter is
+skipped with the reason."""
 
 import glob
 import os

@@ -178,10 +178,22 @@ class TestMemo:
         clear_memo()
         assert pow_(x1, 1) is x1
         before = mul.cache_info().currsize
-        # pow_(x2, 1) returns the memoized x1, which is not x2
+        # pow_(x2, 1) returns the memoized x1, the one node named x
         product = mul(x2, z)
         assert mul.cache_info().currsize == before + 1
         assert product == x1 * z
+
+    def test_pow_returns_the_unique_node(self):
+        # none of these exponents folds, so the power is the node as built
+        for q in (Fraction(-1), Fraction(3), Fraction(1, 3), Fraction(-3, 2)):
+            assert pow_(x, q) is Pow(x, q)
+        assert pow_(add(x, 1), Fraction(1, 2)) is Pow(add(x, 1), Fraction(1, 2))
+
+    def test_a_node_that_fails_to_build_is_not_kept(self):
+        # a half-built node in the table would be returned by the next call
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                Add((1, 2))
 
 
 class TestDiff:
@@ -518,6 +530,24 @@ def test_power_of_a_power_folds_by_the_rule(e, p, q):
         reject()
 
 
+def _built(build):
+    try:
+        return build()
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(trees, min_size=1, max_size=3), st.sampled_from([-2, -1, 2, 0.5, Fraction(1, 3)]))
+def test_constructors_return_one_object_per_structure(args, q):
+    builds = [lambda: add(*args), lambda: mul(*args), lambda: pow_(args[0], q),
+              lambda: pow_(mul(*args), q)]
+    first = [_built(build) for build in builds]
+    clear_memo()
+    for build, node in zip(builds, first):
+        assert _built(build) is node
+
+
 def _key_of(build):
     try:
         return build()._key
@@ -549,7 +579,7 @@ def test_diff_and_subs_match_reference_walkers(e, a, b):
 
 
 def test_postorder_lists_each_distinct_node_once_children_first():
-    # sin(1 + x) is built twice as separate objects and x occurs three times
+    # sin(1 + x) is built twice, one node, and x occurs three times
     e = add(mul(y, sin(add(x, 1))), mul(x, sin(add(1, x))))
     inner = add(x, 1)
     s = sin(inner)
