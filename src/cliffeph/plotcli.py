@@ -282,18 +282,26 @@ def cli_main(argv=None):
         print("cliffeph: error: cannot use --out %s: %s" % (config.out_dir, err.strerror),
               file=sys.stderr)
         return 2
-    for name in pipelines:
-        if name == "verify":
-            if not run_verify(config):
-                return 1
-            continue
-        try:
-            for path in run_pipeline(name, config):
-                print(path)
-        except OSError as err:  # write_curves names the file it could not write
-            print("cliffeph: error: %s" % err, file=sys.stderr)
-            return 2
-    return 0
+    status = 0
+    try:
+        for name in pipelines:
+            if name != "verify":
+                for path in run_pipeline(name, config):
+                    print(path)
+            elif not run_verify(config):
+                status = 1
+                break
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError as err:
+        # As the SIGPIPE note in the Python docs does: point stdout at devnull,
+        # so the interpreter's last flush of what is left cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("cliffeph: error: cannot write to stdout: %s" % err.strerror, file=sys.stderr)
+        return 2
+    except OSError as err:  # write_curves names the file it could not write
+        print("cliffeph: error: %s" % err, file=sys.stderr)
+        return 2
+    return status
 
 
 def main():

@@ -14,6 +14,10 @@ children first, and :func:`diff`, :func:`subs` and the straight-line
 Python that :func:`compile_ex` builds once per tuple of outputs handle
 each node once, in that order, however large the tree is.
 
+A sum or product is kept as GiNaC keeps it: a term is an optional leading
+coefficient, a Rational never 0 or 1, times a monomial; :func:`_coeff`
+gives a plain term's coefficient as the int 1.
+
 Every node is unique (hash-consed): a constructor first looks its class
 and fields up in one module table, so equal structures are one object and
 ``==`` and ``hash`` are identity.  ``_key``, built once from the
@@ -173,9 +177,9 @@ class Func(Expr):
         self._key = (2, name, arg._key)
 
 
-ZERO = Rational(Fraction(0))
-ONE = Rational(Fraction(1))
-_MINUS_ONE = Rational(Fraction(-1))
+ZERO = Rational(0)
+ONE = Rational(1)
+_MINUS_ONE = Rational(-1)
 
 
 def symbol(name, positive=False):
@@ -197,7 +201,7 @@ def _coerce(x):
         raise ExprError("cannot interpret %r as an exact constant" % (x,))
     if isinstance(x, (int, Fraction, float)):
         # Fractions represent every finite double exactly.
-        return Rational(Fraction(x))
+        return Rational(x)
     raise TypeError("cannot interpret %r as an expression" % (x,))
 
 
@@ -210,61 +214,40 @@ _term_order = attrgetter("_key")
 
 def _coeff(t):
     """Rational coefficient of a canonical term: a Rational's value, a
-    product's leading Rational, else 1.  Builds no nodes."""
+    product's leading Rational, else the int 1.  Builds no nodes."""
     if isinstance(t, Rational):
         return t.value
     if isinstance(t, Mul) and isinstance(t.factors[0], Rational):
         return t.factors[0].value
-    return Fraction(1)
-
-
-def _split_coeff(t):
-    """Split a canonical non-Add, non-Rational term into (rational
-    coefficient, monomial)."""
-    coeff = _coeff(t)
-    if coeff == 1:
-        return coeff, t
-    rest = t.factors[1:]
-    return coeff, rest[0] if len(rest) == 1 else Mul(rest)
-
-
-def _scale(coeff, mono):
-    """coeff * mono for canonical non-Add, non-Rational mono."""
-    if coeff == 1:
-        return mono
-    if isinstance(mono, Mul):
-        return Mul((Rational(coeff),) + mono.factors)
-    return Mul((Rational(coeff), mono))
+    return 1
 
 
 @lru_cache(maxsize=None, typed=True)
 def add(*terms):
-    const = Fraction(0)
+    """Canonical sum: an optional non-zero Rational first, then the terms
+    ``c*mono`` of distinct monomials in ``_key`` order (module docstring)."""
+    const = 0
     bucket = {}
-    pending = [_coerce(t) for t in terms]
-    flat = []
-    for t in pending:
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    for t in flat:
-        if isinstance(t, Rational):
-            const += t.value
-            continue
-        coeff, mono = _split_coeff(t)
-        bucket[mono] = bucket[mono] + coeff if mono in bucket else coeff
+    for arg in map(_coerce, terms):
+        for t in arg.terms if isinstance(arg, Add) else (arg,):
+            if isinstance(t, Rational):
+                const += t.value
+                continue
+            coeff = _coeff(t)
+            if coeff != 1:
+                rest = t.factors[1:]
+                t = rest[0] if len(rest) == 1 else Mul(rest)
+            bucket[t] = bucket[t] + coeff if t in bucket else coeff
     out = []
     for mono in sorted(bucket, key=_term_order):
         coeff = bucket[mono]
-        if coeff != 0:
-            out.append(_scale(coeff, mono))
-    if not out:
-        return Rational(const)
-    terms2 = ([Rational(const)] if const != 0 else []) + out
-    if len(terms2) == 1:
-        return terms2[0]
-    return Add(tuple(terms2))
+        if coeff == 1:
+            out.append(mono)
+        elif coeff:
+            out.append(Mul((Rational(coeff), *(mono.factors if isinstance(mono, Mul) else (mono,)))))
+    if const or not out:
+        out.insert(0, Rational(const))
+    return out[0] if len(out) == 1 else Add(tuple(out))
 
 
 def _add_content(e):
@@ -363,7 +346,9 @@ def pow_(base, exp):
 
 @lru_cache(maxsize=None, typed=True)
 def mul(*factors):
-    coeff = Fraction(1)
+    """Canonical term ``c*mono`` (module docstring): the factors of mono in
+    ``_key`` order, each base once; a sum of exponent 1 is multiplied out."""
+    coeff = 1
     powers = {}
     pending = [_coerce(f) for f in factors]
     while pending:
@@ -399,16 +384,11 @@ def mul(*factors):
         # A merged exponent triggered a rewrite; rebuild from scratch.
         return mul(Rational(coeff), *(atoms + adds + requeue))
     if adds:
-        mono = mul(Rational(coeff), *atoms) if (atoms or coeff != 1) else ONE
-        pieces = []
-        for combo in itertools.product(*(a.terms for a in adds)):
-            pieces.append(mul(mono, *combo))
-        return add(*pieces)
-    if not atoms:
-        return Rational(coeff)
-    if coeff == 1:
-        return atoms[0] if len(atoms) == 1 else Mul(tuple(atoms))
-    return Mul((Rational(coeff),) + tuple(atoms))
+        mono = mul(Rational(coeff), *atoms)
+        return add(*(mul(mono, *combo) for combo in itertools.product(*(a.terms for a in adds))))
+    if coeff != 1 or not atoms:
+        atoms.insert(0, Rational(coeff))
+    return atoms[0] if len(atoms) == 1 else Mul(tuple(atoms))
 
 
 def clear_memo():
@@ -877,19 +857,14 @@ def _pr(e, prec):
     # precedence: 1 add, 2 mul, 3 pow, 4 atom
     if isinstance(e, Rational):
         v = e.value
-        s = str(v.numerator) if v.denominator == 1 else "%d/%d" % (v.numerator, v.denominator)
-        need = prec >= 2 and (v < 0 or v.denominator != 1)
-        return "(%s)" % s if need else s
+        return "(%s)" % v if prec >= 2 and (v < 0 or v.denominator != 1) else str(v)
     if isinstance(e, Symbol):
         return e.name
     if isinstance(e, Func):
         return "%s(%s)" % (e.name, _pr(e.arg, 0))
     if isinstance(e, Pow):
         q = e.exponent
-        es = str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
-        if q < 0 or q.denominator != 1:
-            es = "(%s)" % es
-        s = "%s**%s" % (_pr(e.base, 4), es)
+        s = "%s**%s" % (_pr(e.base, 4), "(%s)" % q if q < 0 or q.denominator != 1 else q)
         return "(%s)" % s if prec > 3 else s
     if isinstance(e, Mul):
         s = "*".join(_pr(f, 2) for f in e.factors)

@@ -210,6 +210,34 @@ class TestCli:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == capsys.readouterr().out
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--metric", "e"],
+        ["orbits", "--metric", "e", "--subgroup", "A"],
+    ])
+    def test_closed_stdout_exits_2(self, tmp_path, argv, unbuffered):
+        # the reader of stdout has gone before the first write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cliffeph.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if argv[0] != "verify":
+            argv = argv + ["--out", str(tmp_path)]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cliffeph", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cliffeph: error: ")
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
     def test_arrows_file_has_grid(self, tmp_path):
         code = cli_main(["arrows", "--metric", "p", "--subgroup", "N",
                          "--out", str(tmp_path)])

@@ -548,6 +548,47 @@ def test_constructors_return_one_object_per_structure(args, q):
         assert _built(build) is node
 
 
+def _monomial(term):
+    """A term with its leading Rational, if any, taken off."""
+    if isinstance(term, Mul) and isinstance(term.factors[0], Rational):
+        rest = term.factors[1:]
+        return rest[0] if len(rest) == 1 else Mul(rest)
+    return term
+
+
+def _check_canonical(node):
+    """The shape every constructor promises: a sum or product is flat, with
+    at most one Rational, first (a sum's never 0, a product's never 0 or 1),
+    then distinct monomials or bases; no power has exponent 0 or 1."""
+    if isinstance(node, Pow):
+        assert node.exponent not in (0, 1)
+    if not isinstance(node, (Add, Mul)):
+        return
+    kids = node.terms if isinstance(node, Add) else node.factors
+    assert len(kids) >= 2
+    assert not any(isinstance(k, type(node)) for k in kids)
+    rest = kids[1:] if isinstance(kids[0], Rational) else kids
+    assert not any(isinstance(k, Rational) for k in rest)
+    if isinstance(node, Add):
+        assert kids[0] is not ZERO
+        monos = [_monomial(k) for k in rest]
+        keys = [m._key for m in monos]
+        assert keys == sorted(keys) and len(set(monos)) == len(monos)
+    else:
+        assert kids[0] not in (ZERO, ONE)
+        bases = [k.base if isinstance(k, Pow) else k for k in rest]
+        assert len(set(bases)) == len(bases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(trees, min_size=1, max_size=3), st.sampled_from([-2, -1, 2, 0.5, Fraction(1, 3)]))
+def test_every_node_is_in_canonical_form(args, q):
+    for build in (lambda: add(*args), lambda: mul(*args), lambda: pow_(args[0], q)):
+        root = _built(build)
+        for node in _postorder(root) if root is not None else ():
+            _check_canonical(node)
+
+
 def _key_of(build):
     try:
         return build()._key
