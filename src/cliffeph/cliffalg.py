@@ -4,9 +4,13 @@ possibly symbolic) metric.
 Generators e_k satisfy e_i e_j + e_j e_i = B(i,j) + B(j,i).  Multivectors
 are stored as maps from canonical blades (strictly increasing index
 tuples) to coefficient expressions; the empty blade is the algebra unit.
+Products reduce each generator word once per metric, in a cached blade
+table; vectors are read back from units on distinct generators.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import symexpr as sx
 from .symexpr import ZERO, ONE, normal
@@ -80,8 +84,10 @@ def _check_same_metric(a, b):
 
 def _canonical_blade(blade, metric):
     """The blade as a tuple of generator indices; raises unless they are
-    strictly increasing and inside the metric's dimension."""
+    integers, strictly increasing and inside the metric's dimension."""
     blade = tuple(blade)
+    if not all(isinstance(k, int) for k in blade):
+        raise TypeError("blade %r has a non-integer index" % (blade,))
     if any(not 0 <= k < metric.n for k in blade):
         raise IndexError("blade %r outside dimension %d" % (blade, metric.n))
     if any(i >= j for i, j in zip(blade, blade[1:])):
@@ -202,46 +208,36 @@ def clifford_units(metric):
 
 
 def _mv_mul(a, b):
-    metric = a.metric
     acc = {}
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
-            _reduce_general(acc, sx.mul(ca, cb), ba + bb, metric)
-    return Multivector(metric, acc)
+            c = sx.mul(ca, cb)
+            for blade, k in _blade_product(a.metric, ba + bb):
+                kc = c if k is ONE else sx.mul(k, c)
+                acc[blade] = sx.add(acc[blade], kc) if blade in acc else kc
+    return Multivector(a.metric, acc)
 
 
-def _emit(acc, blade, coeff):
-    if blade in acc:
-        acc[blade] = sx.add(acc[blade], coeff)
-    else:
-        acc[blade] = coeff
-
-
-def _reduce_general(acc, coeff, word, metric):
-    # Rewrite e_j e_i -> -e_i e_j + (B(i,j)+B(j,i)) for adjacent j > i and
-    # e_i e_i -> B(i,i); each step reduces (length, inversions), so this
-    # terminates for any metric.
-    stack = [(coeff, word)]
+@lru_cache(maxsize=None)
+def _blade_product(metric, word):
+    """The generator word as ((blade, coefficient), ...) over the metric,
+    no coefficient zero: e_j e_i -> -e_i e_j + (B(i,j)+B(j,i)) for adjacent
+    j > i and e_i e_i -> B(i,i), each step reducing (length, inversions)."""
+    out = {}
+    stack = [(ONE, word)]
     while stack:
         c, w = stack.pop()
-        if c == ZERO:
-            continue
-        pos = None
-        for k in range(len(w) - 1):
-            if w[k] >= w[k + 1]:
-                pos = k
-                break
+        pos = next((k for k in range(len(w) - 1) if w[k] >= w[k + 1]), None)
         if pos is None:
-            _emit(acc, w, c)
+            out[w] = sx.add(out[w], c) if w in out else c
             continue
-        i, j = w[pos], w[pos + 1]
+        i, j, rest = w[pos], w[pos + 1], w[:pos] + w[pos + 2 :]
         if i == j:
-            stack.append((sx.mul(c, metric.b(i, i)), w[:pos] + w[pos + 2 :]))
+            stack.append((sx.mul(c, metric.b(i, i)), rest))
         else:
-            swapped = w[:pos] + (j, i) + w[pos + 2 :]
-            stack.append((sx.mul(sx.rational(-1), c), swapped))
-            contracted = sx.mul(c, sx.add(metric.b(i, j), metric.b(j, i)))
-            stack.append((contracted, w[:pos] + w[pos + 2 :]))
+            stack.append((sx.mul(sx.rational(-1), c), w[:pos] + (j, i) + w[pos + 2 :]))
+            stack.append((sx.mul(c, sx.add(metric.b(i, j), metric.b(j, i))), rest))
+    return tuple((b, k) for b, k in out.items() if k != ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +321,23 @@ def lst_to_clifford(v, units):
 def clifford_to_lst(m, units):
     """Components v_k with m = sum v_k c_k, on every metric.
 
-    Each unit c_k = k_k e_j must be a nonzero multiple of one generator;
+    Each unit c_k = k_k e_j must be a nonzero multiple of its own generator;
     v_k is m's e_j coefficient over k_k.  Raises NotAVectorError for any
-    other unit, or when m is not in the span of the units."""
-    comps = []
+    other units, or when m has a term on a blade that no unit covers."""
+    if not units:
+        raise ValueError("no units given")
+    comps = {}
     for c in units:
         _check_same_metric(c, m)
         blade, k = next(iter(c.terms.items()), ((), ZERO))
-        if len(c.terms) != 1 or len(blade) != 1:
-            raise NotAVectorError("units must be multiples of one generator")
+        if len(c.terms) != 1 or len(blade) != 1 or blade in comps:
+            raise NotAVectorError("units must be multiples of distinct generators")
         v = m.coeff(blade)
-        comps.append(v if k == ONE else sx.mul(v, sx.pow_(k, -1)))
-    residual = m - lst_to_clifford(comps, units)
+        comps[blade] = v if k == ONE else sx.mul(v, sx.pow_(k, -1))
+    residual = Multivector(m.metric, {b: c for b, c in m.terms.items() if b not in comps})
     if any(normal(c) != ZERO for c in residual.terms.values()):
         raise NotAVectorError("residual terms remain: %r" % (residual,))
-    return comps
+    return list(comps.values())
 
 
 def remove_dirac_ONE(m):

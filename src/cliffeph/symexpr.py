@@ -22,7 +22,7 @@ Every node is unique (hash-consed): a constructor first looks its class
 and fields up in one module table, so equal structures are one object and
 ``==`` and ``hash`` are identity.  ``_key``, built once from the
 children's keys, is only the term order the constructors sort by.  The
-table is never emptied; a whole ``cliffeph all`` leaves 2,974 nodes in
+table is never emptied; a whole ``cliffeph all`` leaves 2,821 nodes in
 it.  :func:`add`, :func:`mul` and :func:`pow_` are memoized by their
 arguments, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
 :func:`clear_memo` empties those memos, not the table, after each

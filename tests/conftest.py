@@ -1,9 +1,11 @@
 """Shared helpers: exact matrix arithmetic over Fractions and the
 Kronecker-product faithful representation used as an independent oracle
-for the Clifford product and its involutions, reference walkers for the
-term-order key, the derivative, the substitution and the float value of
-an expression, the reference content of a sum, and the operator-conjugated
-Moebius families that the vector fields are the t-derivatives of."""
+for the Clifford product and its involutions, a per-term rewrite of the
+Clifford product as the oracle for its per-metric blade table, reference
+walkers for the term-order key, the derivative, the substitution and the
+float value of an expression, the reference content of a sum, and the
+operator-conjugated Moebius families that the vector fields are the
+t-derivatives of."""
 
 import math
 import random
@@ -130,6 +132,52 @@ def represent(m, gens, reverse=False, negate=False):
         for i, (j, s) in enumerate(zip(cols, signs)):
             acc[i][j] += q if s > 0 else -q
     return acc
+
+
+def reference_mv_mul(a, b):
+    """Clifford product a * b, rewriting the generator word of every pair
+    of terms with its coefficient attached; the oracle for the product,
+    which reduces each word once per metric."""
+    metric = a.metric
+    acc = {}
+    for ba, ca in a.terms.items():
+        for bb, cb in b.terms.items():
+            _reference_reduce_general(acc, mul(ca, cb), ba + bb, metric)
+    return Multivector(metric, acc)
+
+
+def _reference_emit(acc, blade, coeff):
+    if blade in acc:
+        acc[blade] = add(acc[blade], coeff)
+    else:
+        acc[blade] = coeff
+
+
+def _reference_reduce_general(acc, coeff, word, metric):
+    # Rewrite e_j e_i -> -e_i e_j + (B(i,j)+B(j,i)) for adjacent j > i and
+    # e_i e_i -> B(i,i); each step reduces (length, inversions), so this
+    # terminates for any metric.
+    stack = [(coeff, word)]
+    while stack:
+        c, w = stack.pop()
+        if c == ZERO:
+            continue
+        pos = None
+        for k in range(len(w) - 1):
+            if w[k] >= w[k + 1]:
+                pos = k
+                break
+        if pos is None:
+            _reference_emit(acc, w, c)
+            continue
+        i, j = w[pos], w[pos + 1]
+        if i == j:
+            stack.append((mul(c, metric.b(i, i)), w[:pos] + w[pos + 2 :]))
+        else:
+            swapped = w[:pos] + (j, i) + w[pos + 2 :]
+            stack.append((mul(Rational(-1), c), swapped))
+            contracted = mul(c, add(metric.b(i, j), metric.b(j, i)))
+            stack.append((contracted, w[:pos] + w[pos + 2 :]))
 
 
 def random_multivector(metric, rng, max_den=7):

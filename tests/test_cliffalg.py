@@ -25,7 +25,7 @@ from cliffeph import (
     remove_dirac_ONE,
     symbol,
 )
-from cliffeph.symexpr import ONE, ZERO
+from cliffeph.symexpr import ONE, ZERO, add, mul, normal, symbols
 
 from conftest import (
     all_blades,
@@ -36,6 +36,7 @@ from conftest import (
     make_rng,
     matmul,
     random_multivector,
+    reference_mv_mul,
     represent,
     signed_permutation,
 )
@@ -72,7 +73,8 @@ class TestUnits:
         assert s == rational(2) * g
 
     @pytest.mark.parametrize(
-        "blade,error", [((1, 0), ValueError), ((0, 0), ValueError), ((-1,), IndexError)]
+        "blade,error",
+        [((1, 0), ValueError), ((0, 0), ValueError), ((-1,), IndexError), ((0.5,), TypeError)],
     )
     def test_non_canonical_blade_rejected(self, blade, error):
         # (1, 0) would be a second, unequal spelling of -e0e1 and (-1,)
@@ -88,6 +90,12 @@ class TestUnits:
         e0, e1 = clifford_units(HYPERBOLIC)
         with pytest.raises(error):
             (e0 * e1).coeff(blade)
+
+    def test_non_integer_unit_rejected(self):
+        # clifford_unit(0.5, m) used to print as (1)*e0 and fail only when
+        # it was multiplied
+        with pytest.raises(TypeError, match=r"\(0\.5,\)"):
+            clifford_unit(0.5, HYPERBOLIC)
 
     def test_constructor_coerces_coefficients(self):
         # plain numbers used to be stored as given: a zero 0 was kept as a
@@ -124,6 +132,34 @@ class TestInvolutions:
             for _ in range(10):
                 m = random_multivector(metric, rng)
                 assert clifford_bar(m) == clifford_star(clifford_prime(m))
+
+
+class TestReferenceProduct:
+    """The product against the per-term rewrite it replaced, term by
+    term with ==, over symbolic coefficients and symbolic metrics."""
+
+    P, G, Q, R, X, Y = symbols("p g q r x y")
+    METRICS = [
+        ELLIPTIC,
+        PARABOLIC,
+        HYPERBOLIC,
+        MetricSpec([[1, 2, 0], [-1, 0, 3], [5, 1, -2]]),
+        MetricSpec([[P, G], [Q, R]]),
+        MetricSpec([[P, G, 0], [Q, R, 1], [X, 0, -1]]),
+    ]
+    COEFFS = [X, Y, add(X, Y), add(mul(X, Y), ONE), rational(1), rational(-2), rational(3, 2)]
+
+    def random_multivector(self, metric, rng):
+        return Multivector(metric, {
+            b: rng.choice(self.COEFFS) for b in all_blades(metric.n) if rng.random() < 0.5
+        })
+
+    @pytest.mark.parametrize("metric", METRICS, ids=repr)
+    def test_product_equals_reference(self, metric):
+        rng = make_rng(metric.n)
+        for _ in range(40):
+            a, b = self.random_multivector(metric, rng), self.random_multivector(metric, rng)
+            assert a * b == reference_mv_mul(a, b)
 
 
 class TestMatrixOracle:
@@ -226,6 +262,21 @@ class TestVectorConversion:
         for units in ((e0 + e1, e0 - e1), (e0, e0 * e1)):
             with pytest.raises(NotAVectorError):
                 clifford_to_lst(lst_to_clifford([rational(1), rational(2)], units), units)
+
+    def test_units_must_be_distinct_generators(self):
+        # (e0, e0) used to return [0, 0] for the zero multivector
+        e0, _ = clifford_units(ELLIPTIC)
+        for m in (Multivector(ELLIPTIC, {}), e0):
+            with pytest.raises(NotAVectorError):
+                clifford_to_lst(m, (e0, e0))
+
+    def test_roundtrip_symbolic_unit(self):
+        a, b, x, y = symbols("a b x y")
+        e0, e1 = clifford_units(ELLIPTIC)
+        units = (e0.scale(add(a, b)), e1)
+        v = [x, add(mul(x, y), ONE)]
+        got = clifford_to_lst(lst_to_clifford(v, units), units)
+        assert all(normal(add(g, mul(rational(-1), w))) is ZERO for g, w in zip(got, v))
 
     @pytest.mark.parametrize("convert", [
         lambda: lst_to_clifford([], ()),
