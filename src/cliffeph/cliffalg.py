@@ -194,8 +194,6 @@ def dirac_ONE(metric):
 
 
 def clifford_unit(k, metric):
-    if not 0 <= k < metric.n:
-        raise IndexError("generator index %d out of range 0..%d" % (k, metric.n - 1))
     return Multivector(metric, {(k,): ONE})
 
 
@@ -305,39 +303,40 @@ def clifford_inverse(m):
 # Vector conversions
 
 
-def lst_to_clifford(v, units):
+def _unit_scales(units, m=None):
+    """{blade of e_j: k} for units c = k e_j, the one unit rule of both vector
+    conversions: each is a nonzero multiple of its own, distinct generator,
+    all over one metric, and m's too if given."""
     if not units:
         raise ValueError("no units given")
+    scales = {}
+    for c in units:
+        _check_same_metric(c, units[0] if m is None else m)
+        blade, k = next(iter(c.terms.items()), ((), ZERO))
+        if len(c.terms) != 1 or len(blade) != 1 or blade in scales:
+            raise NotAVectorError("units must be multiples of distinct generators")
+        scales[blade] = k
+    return scales
+
+
+def lst_to_clifford(v, units):
+    scales = _unit_scales(units)
     if len(v) != len(units):
         raise ValueError("component count %d != unit count %d" % (len(v), len(units)))
-    metric = units[0].metric
-    out = Multivector(metric, {})
-    for comp, unit in zip(v, units):
-        _check_same_metric(unit, units[0])
-        out = out + unit.scale(comp)
-    return out
+    terms = {b: sx.mul(comp, k) for comp, (b, k) in zip(v, scales.items())}
+    return Multivector(units[0].metric, terms)
 
 
 def clifford_to_lst(m, units):
-    """Components v_k with m = sum v_k c_k, on every metric.
-
-    Each unit c_k = k_k e_j must be a nonzero multiple of its own generator;
-    v_k is m's e_j coefficient over k_k.  Raises NotAVectorError for any
-    other units, or when m has a term on a blade that no unit covers."""
-    if not units:
-        raise ValueError("no units given")
-    comps = {}
-    for c in units:
-        _check_same_metric(c, m)
-        blade, k = next(iter(c.terms.items()), ((), ZERO))
-        if len(c.terms) != 1 or len(blade) != 1 or blade in comps:
-            raise NotAVectorError("units must be multiples of distinct generators")
-        v = m.coeff(blade)
-        comps[blade] = v if k == ONE else sx.mul(v, sx.pow_(k, -1))
-    residual = Multivector(m.metric, {b: c for b, c in m.terms.items() if b not in comps})
+    """Components v_k with m = sum v_k c_k, on every metric: v_k is m's e_j
+    coefficient over k_k for the unit c_k = k_k e_j.  Raises NotAVectorError
+    when m has a term on a blade that no unit covers."""
+    scales = _unit_scales(units, m)
+    residual = Multivector(m.metric, {b: c for b, c in m.terms.items() if b not in scales})
     if any(normal(c) != ZERO for c in residual.terms.values()):
         raise NotAVectorError("residual terms remain: %r" % (residual,))
-    return list(comps.values())
+    return [m.coeff(b) if k == ONE else sx.mul(m.coeff(b), sx.pow_(k, -1))
+            for b, k in scales.items()]
 
 
 def remove_dirac_ONE(m):

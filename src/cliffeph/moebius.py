@@ -3,7 +3,6 @@ action v -> (a v + b)(c v + d)^-1 on vectors."""
 
 from __future__ import annotations
 
-from . import symexpr as sx
 from .cliffalg import (
     MetricMismatchError,
     MetricSpec,
@@ -84,8 +83,6 @@ class CMat2:
 
 
 def mat_mul(m1, m2):
-    if m1.metric != m2.metric:
-        raise MetricMismatchError("matrix product over different metrics")
     return CMat2(
         m1.a * m2.a + m1.b * m2.c,
         m1.a * m2.b + m1.b * m2.d,
@@ -112,12 +109,8 @@ def clifford_moebius_map(*args):
         raise TypeError("expected (M, v, metric) or (a, b, c, d, v, metric)")
     if not isinstance(metric, MetricSpec):
         raise TypeError("last argument must be a MetricSpec")
-    if mat.metric != metric:
-        raise MetricMismatchError("matrix metric differs from the space metric")
     units = clifford_units(metric)
-    if len(v) != metric.n:
-        raise ValueError("vector has %d components, metric needs %d" % (len(v), metric.n))
-    vec = lst_to_clifford([sx._coerce(comp) for comp in v], units)
+    vec = lst_to_clifford(v, units)
     num = mat.a * vec + mat.b
     den = mat.c * vec + mat.d
     res = num * clifford_inverse(den)

@@ -370,8 +370,6 @@ def mul(*factors):
     for base in sorted(powers, key=_term_order):
         p = pow_(base, powers[base])
         if isinstance(p, Rational):
-            if p is ZERO:
-                return p
             coeff *= p.value
         elif isinstance(p, Add):
             adds.append(p)
@@ -762,15 +760,16 @@ def _common_factors(num):
 def normal(e):
     """Combine over a common denominator and cancel shared factors.
 
-    Cancellation is syntactic (identical factors and rational constants
-    only); the result is idempotent and numerically equal to the input.
+    Cancellation is syntactic (identical factors only); the result is
+    idempotent and numerically equal to the input.  The denominator has no
+    coefficient to cancel: ``pow_`` takes a sum's rational content out of
+    every integer power and keeps a rational base only under an inexact root.
     """
     e = _coerce(e)
     num, den = _as_fraction(e)
     if den is ONE:
         return num
     den_pows = _mul_powers(den)
-    den_coeff = _coeff(den)
     shared = _common_factors(num)
     cancel = []
     for base, x in shared.items():
@@ -782,9 +781,6 @@ def normal(e):
         inv = [pow_(b, -m) for b, m in cancel]
         num = mul(num, *inv)
         den = mul(den, *inv)
-    if den_coeff != 1:
-        num = mul(num, Rational(1 / den_coeff))
-        den = mul(den, Rational(1 / den_coeff))
     if den is ONE:
         return num
     return mul(num, pow_(den, -1))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,12 @@ class TestUnits:
         # it was multiplied
         with pytest.raises(TypeError, match=r"\(0\.5,\)"):
             clifford_unit(0.5, HYPERBOLIC)
+
+    @pytest.mark.parametrize("k,error", [(5.5, TypeError), (5, IndexError)])
+    def test_unit_index_named_in_error(self, k, error):
+        # both used to say "generator index 5 out of range 0..1"
+        with pytest.raises(error, match=re.escape("(%r,)" % (k,))):
+            clifford_unit(k, HYPERBOLIC)
 
     def test_constructor_coerces_coefficients(self):
         # plain numbers used to be stored as given: a zero 0 was kept as a
@@ -264,11 +271,21 @@ class TestVectorConversion:
                 clifford_to_lst(lst_to_clifford([rational(1), rational(2)], units), units)
 
     def test_units_must_be_distinct_generators(self):
-        # (e0, e0) used to return [0, 0] for the zero multivector
+        # (e0, e0) used to return [0, 0] for the zero multivector, and
+        # lst_to_clifford used to build (3)*e0 from them
         e0, _ = clifford_units(ELLIPTIC)
         for m in (Multivector(ELLIPTIC, {}), e0):
             with pytest.raises(NotAVectorError):
                 clifford_to_lst(m, (e0, e0))
+        with pytest.raises(NotAVectorError):
+            lst_to_clifford([1, 2], (e0, e0))
+
+    def test_lst_to_clifford_reads_units_by_the_same_rule(self):
+        # lst_to_clifford([1, 2], (e0 + e1, e0 - e1)) used to be (3)*e0 + (-1)*e1
+        e0, e1 = clifford_units(ELLIPTIC)
+        for units in ((e0 + e1, e0 - e1), (e0, e0 * e1), (e0.scale(0), e1)):
+            with pytest.raises(NotAVectorError):
+                lst_to_clifford([1, 2], units)
 
     def test_roundtrip_symbolic_unit(self):
         a, b, x, y = symbols("a b x y")

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
@@ -160,6 +161,26 @@ class TestFamilies:
             again = _family(kind, sub, ttype)
             assert again is not fam
             assert again.u is fam.u and again.v is fam.v
+
+    def test_family_failure_names_the_family(self, monkeypatch):
+        cause = ZeroDivisionError("no inverse")
+
+        def fail(*args):
+            raise cause
+
+        # clear the caches, so the family is built under the patch and no
+        # entry made under it outlives the test
+        for cached in (_family, build_families):
+            cached.cache_clear()
+        monkeypatch.setattr(ephgeom, "clifford_moebius_map", fail)
+        try:
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "family (N, CAYLEY_POINT, HYPERBOLIC) failed: no inverse")) as info:
+                _family(MetricKind.HYPERBOLIC, Subgroup.N, TransformType.CAYLEY_POINT)
+            assert info.value.__cause__ is cause
+        finally:
+            for cached in (_family, build_families):
+                cached.cache_clear()
 
     @pytest.mark.parametrize("build", [
         pytest.param(build_families, id="build_families"),
@@ -328,6 +349,19 @@ class TestSampling:
             (2, "toy", "direct", 4.0, 8.0, 5.0, -5.0, 0.5, 1.5),
         ]
         assert seen == [(s, 2 * s, s + 1) for s in (0.0, 1.0, 2.0, 3.0, 4.0)]
+
+    @pytest.mark.parametrize("tu,tv,expected", [
+        (math.nan, 0.0, (1.0, 0.0)),
+        (0.0, math.nan, (1.0, 0.0)),
+        (math.inf, 5.0, (1.0, 0.0)),
+        (-math.inf, 5.0, (-1.0, 0.0)),
+        (5.0, math.inf, (0.0, 1.0)),
+        (5.0, -math.inf, (0.0, -1.0)),
+        (60.0, -80.0, (0.6, -0.8)),  # |tu| + |tv| > 100 is normalized
+        (30.0, 40.0, (30.0, 40.0)),
+    ])
+    def test_transverse_direction_of_extreme_values(self, tu, tv, expected):
+        assert ephgeom._transverse_direction(0.0, 0.0, tu, tv) == expected
 
     def test_sampling_is_deterministic(self):
         a = sample_orbits(MetricKind.HYPERBOLIC, Subgroup.N)
@@ -538,6 +572,82 @@ class TestExactLaws:
             # the report's value is the law's constant
             expected = (abs(r), d, 2 * q)[kind]
             assert verify_k_orbit(kind, float(v0)).expected == pytest.approx(float(expected))
+
+    # 7 parameters a subgroup: exp(t) for A, t for N and tan(t/2) for K
+    CYCLE_PARAMS = {
+        Subgroup.A: [Fraction(q) for q in ("1/3", "1/2", "2/3", "3/2", "2", "3", "5")],
+        Subgroup.N: [Fraction(q) for q in ("-2", "-1/2", "-1/3", "1/3", "1", "3/2", "5/2")],
+        Subgroup.K: [Fraction(q) for q in ("1/3", "1/2", "2", "-3/4", "5", "-2", "1/5")],
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_orbit_is_a_cycle_of_its_geometry(self, kind):
+        # arXiv:math/0410399: the orbits and their Cayley images are cycles
+        # k(u^2 - sigma v^2) - 2lu - 2nv + m = 0 of the metric's sigma
+        metric = metric_for(kind)
+        e0, _ = clifford_units(metric)
+        one = dirac_ONE(metric)
+        zero = one.scale(0)
+        for sub in SUBS:
+            mats = []
+            for p in self.CYCLE_PARAMS[sub]:
+                if sub == Subgroup.A:
+                    mats.append((CMat2(one.scale(p), zero, zero, one.scale(1 / p)), math.log(p)))
+                elif sub == Subgroup.N:
+                    mats.append((CMat2(one, e0.scale(p), zero, one), float(p)))
+                else:
+                    c, s = _unit_circle(p)
+                    mats.append((CMat2(one.scale(c), e0.scale(s), e0.scale(s), one.scale(c)),
+                                 2 * math.atan(p)))
+            for ttype in TransformType:
+                fn = build_families(kind)[(sub, ttype)].fn()
+                direct = ttype == TransformType.DIRECT
+                images = [(mat if direct else mat_mul(ephgeom._cayley_pair(kind, ttype)[0], mat),
+                           t_val) for mat, t_val in mats]
+                # direct A and N orbits are lines, k = 0
+                line = direct and sub != Subgroup.K
+                for x0, y0 in self.ORIGINS:
+                    pts = []
+                    for mat, t_val in images:
+                        pts.append(self._point(kind, mat, x0, y0))
+                        # the program's family passes through the same point
+                        assert fn(float(x0), float(y0), t_val) == pytest.approx(
+                            tuple(map(float, pts[-1])), rel=1e-9, abs=1e-12)
+                    rank, (k, minus_2l, _, _) = _cycle_through(pts, kind.sigma)
+                    assert rank == 3
+                    assert (k == 0) == line
+                    if direct and sub == Subgroup.K:
+                        # centred on the v-axis, as the focal laws have it
+                        assert minus_2l == 0
+                    # a wrong sigma fits no cycle through 7 points of a
+                    # non-line orbit; a line is a cycle of every sigma
+                    for wrong in {-1, 0, 1} - {kind.sigma}:
+                        assert _cycle_through(pts, wrong)[0] == (3 if line else 4)
+
+
+def _cycle_through(points, sigma):
+    """Exact rank of the rows (u^2 - sigma v^2, u, v, 1) of the points and,
+    at rank 3, the one cycle (k, -2l, -2n, m) through them, up to scale."""
+    rows = [[u * u - sigma * v * v, u, v, Fraction(1)] for u, v in points]
+    pivots = []
+    for col in range(4):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [a / rows[r][col] for a in rows[r]]
+        rows = [row if i == r else [a - row[col] * b for a, b in zip(row, rows[r])]
+                for i, row in enumerate(rows)]
+        pivots.append(col)
+    if len(pivots) != 3:
+        return len(pivots), None
+    free = next(col for col in range(4) if col not in pivots)
+    cycle = [Fraction(0)] * 4
+    cycle[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        cycle[col] = -rows[r][free]
+    return 3, tuple(cycle)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from cliffeph import (
     ExprError,
@@ -37,6 +37,8 @@ from cliffeph.symexpr import (
     Pow,
     Rational,
     _add_content,
+    _as_fraction,
+    _coeff,
     _postorder,
     add,
     clear_memo,
@@ -330,6 +332,13 @@ class TestNormal:
         e = normal((rational(2) * x + rational(2) * y) / rational(2))
         assert e == x + y
 
+    def test_denominator_without_coefficient(self):
+        # both inputs have rational content; pow_ takes it out of each
+        # power, so the common denominator has none
+        e = normal(rational(1) / (rational(2) * x + 2) + rational(1) / (rational(4) * y))
+        assert to_str(e) == ("(1/4)*(y + x*y)**(-1) + (1/4)*x*(y + x*y)**(-1)"
+                             " + (1/2)*y*(y + x*y)**(-1)")
+
 
 class TestLsolve:
     def test_vandermonde(self):
@@ -473,6 +482,22 @@ def test_add_content_matches_reference_fold(e, q):
 def test_normal_is_idempotent(e):
     n = normal(e)
     assert normal(n) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+@example(mul(y, pow_(add(mul(rational(2), x), 2), -2)))
+def test_common_denominator_has_no_coefficient(e):
+    # normal relies on it and rescales nothing
+    assert _coeff(_as_fraction(e)[1]) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+@example(pow_(add(x, mul(rational(-1), x)), Fraction(1, 2)))
+def test_no_power_has_base_zero(e):
+    # mul relies on it: a merged power is never 0
+    assert not any(isinstance(n, Pow) and n.base is ZERO for n in _postorder(e))
 
 
 @settings(max_examples=150, deadline=None)
