@@ -151,10 +151,11 @@ class MoebiusFamily:
 
 def _moebius_family(kind, mat):
     """The family of images of x e0 + y e1 under the Moebius map of mat;
-    the constructor memo is emptied after each family."""
-    fam = MoebiusFamily(*clifford_moebius_map(mat, (X, Y), metric_for(kind)))
-    sx.clear_memo()
-    return fam
+    the constructor memo is emptied after each family, also a failed one."""
+    try:
+        return MoebiusFamily(*clifford_moebius_map(mat, (X, Y), metric_for(kind)))
+    finally:
+        sx.clear_memo()
 
 
 def _cayley_pair(kind, ttype):

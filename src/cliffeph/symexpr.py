@@ -1,7 +1,9 @@
 """Small symbolic expression kernel.
 
 Exact rational constants, named real symbols, sums, products, rational
-powers and the elementary functions sin, cos, exp, cosh, sinh.
+powers and the elementary functions sin, cos, exp, cosh, sinh.  As in
+GiNaC's ``numeric``, a Rational's value and a power's exponent are an int
+when integral and a Fraction only when proper.
 Expressions are immutable and are kept in a canonical flattened/sorted
 form, so structural equality of two expressions implies they agree
 numerically under every assignment of their symbols.
@@ -117,11 +119,11 @@ class Rational(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        value = value if isinstance(value, Fraction) else Fraction(value)
+        value = value if isinstance(value, (int, Fraction)) else Fraction(value)
         return Expr.__new__(cls, value.as_integer_ratio())
 
     def _fill(self, ratio):
-        self.value = Fraction(*ratio)
+        self.value = ratio[0] if ratio[1] == 1 else Fraction(*ratio)
         self._key = (0, self.value)
 
 
@@ -213,8 +215,8 @@ _term_order = attrgetter("_key")
 
 
 def _coeff(t):
-    """Rational coefficient of a canonical term: a Rational's value, a
-    product's leading Rational, else the int 1.  Builds no nodes."""
+    """Rational coefficient of a canonical term, an int when integral: a
+    Rational's value, a product's leading Rational's, else 1.  Builds no nodes."""
     if isinstance(t, Rational):
         return t.value
     if isinstance(t, Mul) and isinstance(t.factors[0], Rational):
@@ -272,7 +274,7 @@ def _rational_pow(q, exp):
     if q == 0 and exp < 0:
         raise ZeroDivisionError("zero raised to a negative power")
     if exp.denominator == 1:
-        return Rational(q ** int(exp))
+        return Rational(Fraction(q) ** exp)  # an int ** a negative int is a float
     if q < 0:
         return Pow(Rational(q), exp)
     rn = _iroot(q.numerator, exp.denominator)
@@ -298,18 +300,19 @@ def _iroot(n, k):
 
 
 def _coerce_exponent(x):
+    """x as an exponent: an int when integral, else a Fraction, as a Rational holds it."""
     if isinstance(x, Rational):
         return x.value
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ExprError("exponent %r is not finite" % (x,))
         # a magnitude below the limit's resolution keeps its exact value
-        return Fraction(x).limit_denominator(10 ** 9) or Fraction(x)
-    if isinstance(x, Expr):
+        x = Fraction(x).limit_denominator(10 ** 9) or Fraction(x)
+    elif isinstance(x, Expr):
         raise ExprError("only rational exponents are supported")
-    raise TypeError("bad exponent %r" % (x,))
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError("bad exponent %r" % (x,))
+    return x.numerator if x.denominator == 1 else x
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -703,7 +706,7 @@ def _mul_powers(e):
         if isinstance(f, Pow):
             out[f.base] = f.exponent
         elif not isinstance(f, Rational):
-            out[f] = Fraction(1)
+            out[f] = 1
     return out
 
 

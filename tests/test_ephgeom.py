@@ -178,6 +178,8 @@ class TestFamilies:
                     "family (N, CAYLEY_POINT, HYPERBOLIC) failed: no inverse")) as info:
                 _family(MetricKind.HYPERBOLIC, Subgroup.N, TransformType.CAYLEY_POINT)
             assert info.value.__cause__ is cause
+            # the matrices built before the failure leave no memo entry behind
+            assert [f.cache_info().currsize for f in (add, mul, pow_)] == [0, 0, 0]
         finally:
             for cached in (_family, build_families):
                 cached.cache_clear()

@@ -153,6 +153,19 @@ class TestConstruction:
                 pow_(0, negative)
         assert pow_(0, Fraction(1, 2)) == ZERO
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [-3, -2, 2, 3, 7])
+    def test_negative_power_of_an_integer_is_exact(self, n, k):
+        # an int ** a negative int is a float, 1/3 would become 6004799503160661/2**54
+        p = pow_(rational(n), -k)
+        assert p == rational(1, n ** k) and type(p.value) is Fraction
+
+    @pytest.mark.parametrize("form", [int, Fraction, float, rational])
+    @pytest.mark.parametrize("n", [2, -1])
+    def test_integral_exponent_is_an_int(self, n, form):
+        p = pow_(x, form(n))
+        assert p is pow_(x, Fraction(2 * n, 2)) and type(p.exponent) is int
+
     def test_tiny_float_exponent_keeps_its_exact_value(self):
         # limit_denominator(10**9) rounds every 0 < |q| < 5e-10 to 0
         for q in (1e-12, -1e-12, 5e-324):
@@ -498,6 +511,16 @@ def test_common_denominator_has_no_coefficient(e):
 def test_no_power_has_base_zero(e):
     # mul relies on it: a merged power is never 0
     assert not any(isinstance(n, Pow) and n.base is ZERO for n in _postorder(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+@example(pow_(mul(rational(1, 2), x), Fraction(4, 2)))
+def test_numbers_are_ints_exactly_when_integral(e):
+    # as GiNaC's numeric: a Fraction only for a proper fraction
+    numbers = [n.value if isinstance(n, Rational) else n.exponent
+               for n in _postorder(e) if isinstance(n, (Rational, Pow))]
+    assert all(type(q) is (int if q.denominator == 1 else Fraction) for q in numbers)
 
 
 @settings(max_examples=150, deadline=None)
