@@ -7,10 +7,10 @@ verification of the focal properties of the K-orbits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import symexpr as sx
 from .cliffalg import MetricSpec, clifford_to_lst, clifford_units, dirac_ONE, lst_to_clifford
@@ -57,8 +57,7 @@ class TransformType(IntEnum):
         return ("direct", "cayley_point", "cayley1_point")[int(self)]
 
 
-@dataclass(frozen=True)
-class TuningTables:
+class TuningTables(NamedTuple):
     """Per-(subgroup, metric) iteration constants for the samplers."""
 
     vilimits: tuple
@@ -98,8 +97,7 @@ def _basis(kind):
     return (dirac_ONE(metric), *clifford_units(metric))
 
 
-@dataclass(frozen=True)
-class CayleySet:
+class CayleySet(NamedTuple):
     C: CMat2
     CI: CMat2
     C1: CMat2
@@ -139,8 +137,7 @@ def subgroup_exp(sub, t, kind):
     return CMat2(one.scale(cos(t)), e0.scale(sin(t)), e0.scale(sin(t)), one.scale(cos(t)))
 
 
-@dataclass(frozen=True)
-class MoebiusFamily:
+class MoebiusFamily(NamedTuple):
     u: sx.Expr
     v: sx.Expr
 
@@ -198,8 +195,7 @@ def build_families(kind):
     return {(sub, ttype): _family(kind, sub, ttype) for sub in Subgroup for ttype in TransformType}
 
 
-@dataclass(frozen=True)
-class FieldData:
+class FieldData(NamedTuple):
     """Vector field for one slot 0..2."""
 
     du: sx.Expr
@@ -468,8 +464,7 @@ def sample_future_past():
 # Numeric verification of the K-orbit focal properties
 
 
-@dataclass
-class KOrbitReport:
+class KOrbitReport(NamedTuple):
     kind: MetricKind
     expected: float
     max_residual: float
@@ -536,12 +531,11 @@ def verify_k_orbit(kind, v0):
 # Parabolic-disk vertex law
 
 
-@dataclass
-class VertexReport:
+class VertexReport(NamedTuple):
     """Per fit, the vertex law value v + sign u^2, target -1 (NaN for N)."""
 
     subgroup: Subgroup
-    fits: list = field(default_factory=list)
+    fits: list
     skipped: int = 0
 
     @property
@@ -591,7 +585,7 @@ def verify_parabolic_vertices(sub):
     if sub == Subgroup.K:
         raise ValueError("vertex law applies to subgroups A and N only")
     kind = MetricKind.PARABOLIC
-    report = VertexReport(subgroup=sub)
+    fits, skipped = [], 0
     params = _node_parameters(sub, kind)
     curves = [(0.0, [(x0, y0, t) for t in params]) for x0, y0 in _orbit_origins(sub, kind)]
     for image in range(2):
@@ -599,7 +593,7 @@ def verify_parabolic_vertices(sub):
             for triple in zip(run, run[1:], run[2:]):
                 fit = _fit_parabola(*triple)
                 if fit is None:
-                    report.skipped += 1
+                    skipped += 1
                     continue
                 an, bn, cn, ad, d = fit
                 # The two images open in opposite directions, so the
@@ -615,5 +609,5 @@ def verify_parabolic_vertices(sub):
                         check = vert_v + law_sign * vert_u ** 2
                     except OverflowError:  # a vertex beyond the float range fails the law
                         check = math.inf
-                report.fits.append(check)
-    return report
+                fits.append(check)
+    return VertexReport(sub, fits, skipped)

@@ -8,8 +8,8 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .ephgeom import (
     DEFAULT_TUNING,
@@ -54,8 +54,7 @@ def curve_filename(stem, sub, kind, fmt):
     return "%s-%c-%c.%s" % (stem, Subgroup(sub).letter, MetricKind(kind).letter, fmt)
 
 
-@dataclass
-class JobConfig:
+class JobConfig(NamedTuple):
     kinds: list
     subs: list
     out_dir: str = "."

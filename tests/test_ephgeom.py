@@ -478,6 +478,29 @@ class TestVerify:
             assert (fu, fv) == pytest.approx((float(pu), float(pv)), rel=1e-9, abs=1e-12)
 
 
+class TestRecordTypes:
+    def test_vertex_reports_share_no_fits_list(self):
+        first = verify_parabolic_vertices(Subgroup.A)
+        second = verify_parabolic_vertices(Subgroup.A)
+        assert first.fits == second.fits
+        assert first.fits is not second.fits
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: verify_k_orbit(MetricKind.ELLIPTIC, 2.0), "max_residual"),
+        (lambda: verify_parabolic_vertices(Subgroup.N), "skipped"),
+        (lambda: JobConfig(kinds=[MetricKind.PARABOLIC], subs=[Subgroup.A]), "out_dir"),
+    ], ids=["KOrbitReport", "VertexReport", "JobConfig"])
+    def test_fields_are_read_only(self, make, name):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+    def test_vertex_report_takes_its_fields_by_position(self):
+        report = VertexReport(Subgroup.A, [-1.0])
+        assert (report.subgroup, report.fits, report.skipped) == (Subgroup.A, [-1.0], 0)
+        assert tuple(report) == (Subgroup.A, [-1.0], 0)
+
+
 
 def _unit_circle(m):
     """The rational point (cos t, sin t) at the half-angle tan(t/2) = m."""
