@@ -274,8 +274,7 @@ def clifford_bar(m):
 def norm_square(m):
     """Scalar of m * bar(m); raises if the product is not scalar."""
     sq = m * clifford_bar(m)
-    residue = {b: c for b, c in sq.terms.items() if b != ()}
-    if residue and any(normal(c) != ZERO for c in residue.values()):
+    if any(b != () and normal(c) != ZERO for b, c in sq.terms.items()):
         raise NonScalarSquareError("m * bar(m) is not a scalar: %r" % (sq,))
     return normal(sq.coeff(()))
 

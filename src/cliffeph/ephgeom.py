@@ -42,7 +42,7 @@ class Subgroup(IntEnum):
 
     @property
     def letter(self):
-        return "ANK"[int(self)]
+        return self.name
 
 
 class TransformType(IntEnum):
@@ -54,7 +54,7 @@ class TransformType(IntEnum):
 
     @property
     def label(self):
-        return ("direct", "cayley_point", "cayley1_point")[int(self)]
+        return self.name.lower()
 
 
 class TuningTables(NamedTuple):
@@ -211,30 +211,33 @@ def vector_fields(kind):
     """Per slot, the infinitesimal action G.a w + G.b - w (G.c w + G.d) of
     the generator G at w = x e0 + y e1."""
     kind = MetricKind(kind)
-    units = _basis(kind)[1:]
-    w = lst_to_clifford([X, Y], units)
     out = {}
-    for sub in Subgroup:
-        for ttype in TransformType:
-            g = _generator(kind, sub, ttype)
-            out[(sub, ttype)] = FieldData(
-                *clifford_to_lst(g.a * w + g.b - w * (g.c * w + g.d), units))
-    sx.clear_memo()
-    return out
+    try:
+        units = _basis(kind)[1:]
+        w = lst_to_clifford([X, Y], units)
+        for sub in Subgroup:
+            for ttype in TransformType:
+                g = _generator(kind, sub, ttype)
+                out[(sub, ttype)] = FieldData(
+                    *clifford_to_lst(g.a * w + g.b - w * (g.c * w + g.d), units))
+        return out
+    finally:
+        sx.clear_memo()
 
 
 @lru_cache(maxsize=None)
 def curvature(kind, slot=0):
     """Signed curvature of the K field's flow lines in slot 0..2 (acceleration:
     the field differentiated along itself) and its value on the v-axis x = 0."""
-    field = vector_fields(kind)[(Subgroup.K, slot)]
-    du, dv = field.du, field.dv
-    ddu = du * diff(du, X) + dv * diff(du, Y)
-    ddv = du * diff(dv, X) + dv * diff(dv, Y)
-    k = normal((ddu * dv - du * ddv) * (du * du + dv * dv) ** Fraction(-3, 2))
-    k_axis = normal(subs(k, {X: 0}))
-    sx.clear_memo()
-    return k, k_axis
+    try:
+        field = vector_fields(kind)[(Subgroup.K, slot)]
+        du, dv = field.du, field.dv
+        ddu = du * diff(du, X) + dv * diff(du, Y)
+        ddv = du * diff(dv, X) + dv * diff(dv, Y)
+        k = normal((ddu * dv - du * ddv) * (du * du + dv * dv) ** Fraction(-3, 2))
+        return k, normal(subs(k, {X: 0}))
+    finally:
+        sx.clear_memo()
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +324,10 @@ def _transverse_direction(u, v, tu, tv):
     large vectors are normalized, anything non-numeric gives the horizontal unit."""
     if math.isnan(tu) or math.isnan(tv):
         return 1.0, 0.0
-    if tu == math.inf:
-        return 1.0, 0.0
-    if tu == -math.inf:
-        return -1.0, 0.0
-    if tv == math.inf:
-        return 0.0, 1.0
-    if tv == -math.inf:
-        return 0.0, -1.0
+    if math.isinf(tu):
+        return math.copysign(1.0, tu), 0.0
+    if math.isinf(tv):
+        return 0.0, math.copysign(1.0, tv)
     if abs(tu) + abs(tv) > 100:
         r = math.hypot(tu, tv)
         return tu / r, tv / r
@@ -393,9 +392,10 @@ def sample_transverses(kind, sub):
         fam = fams[(sub, t)]
         return compile_ex((fam.u, fam.v, *_transverse(fam, sub)), (X, Y, T)), _transverse_direction
 
-    streams = _sample_streams(kind, "transverse", curves, stream, 0.5)
-    sx.clear_memo()
-    return streams
+    try:
+        return _sample_streams(kind, "transverse", curves, stream, 0.5)
+    finally:
+        sx.clear_memo()
 
 
 ARROW_GRID_COLS = range(-10, 10)
@@ -414,13 +414,13 @@ def sample_arrows(kind, sub):
 
 
 FUTURE_PAST_FRAMES = 8
-FUTURE_PAST_CURVES = 15
 FUTURE_PAST_NODES = 40
 FUTURE_PAST_LIMIT = 8.5
 _FUTURE_PAST_RADII = (
     1.0 / 5, 1.0 / 4, 1 / 3.5, 1.0 / 3, 1 / 2.5, 1.0 / 2, 1 / 1.5,
-    1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0,
+    1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5,
 )
+FUTURE_PAST_CURVES = len(_FUTURE_PAST_RADII)
 _FUTURE_PAST_EXP_SCALE = 1.3
 _FUTURE_PAST_NODE_SCALE = 4.0
 

@@ -235,10 +235,8 @@ def run_verify(config, out=None):
     return ok
 
 
-_METRIC_FLAGS = {"e": [MetricKind.ELLIPTIC], "p": [MetricKind.PARABOLIC],
-                 "h": [MetricKind.HYPERBOLIC], "all": list(MetricKind)}
-_SUBGROUP_FLAGS = {"A": [Subgroup.A], "N": [Subgroup.N], "K": [Subgroup.K],
-                   "all": list(Subgroup)}
+_METRIC_FLAGS, _SUBGROUP_FLAGS = (
+    dict({m.letter: [m] for m in enum}, all=list(enum)) for enum in (MetricKind, Subgroup))
 
 
 def _build_parser():

@@ -28,7 +28,7 @@ table is never emptied; a whole ``cliffeph all`` leaves 2,821 nodes in
 it.  :func:`add`, :func:`mul` and :func:`pow_` are memoized by their
 arguments, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
 :func:`clear_memo` empties those memos, not the table, after each
-symbolic build of the EPH geometry.
+symbolic build of the EPH geometry, a failed one too.
 """
 
 from __future__ import annotations
@@ -399,12 +399,9 @@ def clear_memo():
         constructor.cache_clear()
 
 
-_FUNC_AT_ZERO = {"sin": ZERO, "cos": ONE, "exp": ONE, "cosh": ONE, "sinh": ZERO}
-
-
 def _make_func(name, arg):
     arg = _coerce(arg)
-    return _FUNC_AT_ZERO[name] if arg is ZERO else Func(name, arg)
+    return _FUNCS[name][0] if arg is ZERO else Func(name, arg)
 
 
 def sin(arg):
@@ -425,6 +422,12 @@ def cosh(arg):
 
 def sinh(arg):
     return _make_func("sinh", arg)
+
+
+# Each elementary function once, as GiNaC registers it: its value at 0 and
+# its derivative; the compiled evaluator takes the names from here too.
+_FUNCS = {"sin": (ZERO, cos), "cos": (ONE, lambda u: mul(_MINUS_ONE, sin(u))),
+          "exp": (ONE, exp), "cosh": (ONE, sinh), "sinh": (ZERO, cosh)}
 
 
 def sqrt(arg):
@@ -512,20 +515,8 @@ def _d(e, s, d):
         if db is ZERO:
             return ZERO
         return mul(Rational(e.exponent), pow_(e.base, e.exponent - 1), db)
-    if isinstance(e, Func):
-        da = d(e.arg)
-        if da is ZERO:
-            return ZERO
-        u = e.arg
-        outer = {
-            "sin": lambda: cos(u),
-            "cos": lambda: mul(_MINUS_ONE, sin(u)),
-            "exp": lambda: exp(u),
-            "cosh": lambda: sinh(u),
-            "sinh": lambda: cosh(u),
-        }[e.name]()
-        return mul(outer, da)
-    raise TypeError("cannot differentiate %r" % (e,))
+    da = d(e.arg)  # a Func
+    return ZERO if da is ZERO else mul(_FUNCS[e.name][1](e.arg), da)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +682,7 @@ def _guarded(name):
     return guarded
 
 
-_RUNTIME = {name: _guarded(name) for name in _FUNC_AT_ZERO}
+_RUNTIME = {name: _guarded(name) for name in _FUNCS}
 _RUNTIME.update(_ipow=_ipow, _rpow=_rpow, inf=math.inf, nan=math.nan)
 
 

@@ -8,6 +8,8 @@ from cliffeph import (
     MetricMismatchError,
     MetricSpec,
     Multivector,
+    NegativeNormSquareError,
+    NonScalarSquareError,
     NotAVectorError,
     NotScalarError,
     ZeroNormError,
@@ -24,6 +26,7 @@ from cliffeph import (
     norm_square,
     rational,
     remove_dirac_ONE,
+    sqrt,
     symbol,
 )
 from cliffeph.symexpr import ONE, ZERO, add, mul, normal, symbols
@@ -103,6 +106,10 @@ class TestUnits:
         # both used to say "generator index 5 out of range 0..1"
         with pytest.raises(error, match=re.escape("(%r,)" % (k,))):
             clifford_unit(k, HYPERBOLIC)
+
+    def test_non_square_metric_rejected(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            MetricSpec([[1, 0]])
 
     def test_constructor_coerces_coefficients(self):
         # plain numbers used to be stored as given: a zero 0 was kept as a
@@ -227,6 +234,28 @@ class TestNormInverse:
         m = e0.scale(3) + e1.scale(4)
         assert norm_square(m) == rational(25)
         assert clifford_norm(m) == rational(5)
+
+    def test_negative_norm_square_has_no_norm(self):
+        e0, _ = clifford_units(MetricSpec.diag(1, 1))
+        with pytest.raises(NegativeNormSquareError, match="norm square -1 is negative"):
+            clifford_norm(e0)
+
+    def test_norm_of_a_positive_symbol_is_its_root(self):
+        p = symbol("p", positive=True)
+        e0, _ = clifford_units(MetricSpec.diag(-p, -1))
+        assert norm_square(e0) == p
+        assert clifford_norm(e0) == sqrt(p)
+
+    def test_norm_square_of_undeclared_sign_has_no_norm(self):
+        e0, _ = clifford_units(MetricSpec.diag(-symbol("q"), -1))
+        with pytest.raises(NonScalarSquareError, match="norm square q has no declared sign"):
+            clifford_norm(e0)
+
+    def test_non_scalar_product_has_no_norm_square(self):
+        metric = MetricSpec.diag(-1, -1, -1)
+        e0, e1, e2 = clifford_units(metric)
+        with pytest.raises(NonScalarSquareError, match="is not a scalar"):
+            norm_square(dirac_ONE(metric) + e0 * e1 * e2)
 
     def test_inverse_of_unit(self):
         e0, _ = clifford_units(ELLIPTIC)

@@ -202,6 +202,29 @@ class TestFamilies:
             build(kind)
             assert [f.cache_info().currsize for f in (add, mul, pow_)] == [0, 0, 0], kind
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("build, patched", [
+        pytest.param(vector_fields, "clifford_to_lst", id="vector_fields"),
+        pytest.param(lambda kind: curvature(kind, 1), "normal", id="curvature"),
+        pytest.param(lambda kind: sample_transverses(kind, Subgroup.A), "normal",
+                     id="sample_transverses"),
+    ])
+    def test_failed_build_leaves_no_constructor_memo(self, monkeypatch, build, patched, kind):
+        def fail(*args):
+            raise ZeroDivisionError("injected")
+
+        # the build runs under the patch, and nothing built under it is kept
+        for cached in (vector_fields, curvature):
+            cached.cache_clear()
+        monkeypatch.setattr(ephgeom, patched, fail)
+        try:
+            with pytest.raises(ZeroDivisionError, match="injected"):
+                build(kind)
+            assert [f.cache_info().currsize for f in (add, mul, pow_)] == [0, 0, 0]
+        finally:
+            for cached in (vector_fields, curvature):
+                cached.cache_clear()
+
 
 class TestVectorFields:
     def test_a_direct_field(self):
@@ -499,6 +522,11 @@ class TestRecordTypes:
         report = VertexReport(Subgroup.A, [-1.0])
         assert (report.subgroup, report.fits, report.skipped) == (Subgroup.A, [-1.0], 0)
         assert tuple(report) == (Subgroup.A, [-1.0], 0)
+
+    def test_vertex_report_without_a_checked_fit_fails(self):
+        report = VertexReport(Subgroup.A, [math.nan])
+        assert report.max_law_deviation == math.inf
+        assert not report.ok
 
 
 

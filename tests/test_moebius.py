@@ -4,6 +4,7 @@ import pytest
 
 from cliffeph import (
     CMat2,
+    MetricMismatchError,
     MetricSpec,
     clifford_moebius_map,
     clifford_units,
@@ -54,6 +55,14 @@ class TestCMat2:
         one = dirac_ONE(ELLIPTIC)
         m = CMat2(one, 2, 0, one)
         assert m.b == one.scale(2)
+
+    def test_scalar_entries_alone_rejected(self):
+        with pytest.raises(TypeError, match="at least one entry must be a multivector"):
+            CMat2(0, 0, 0, 0)
+
+    def test_entries_over_two_metrics_rejected(self):
+        with pytest.raises(MetricMismatchError):
+            CMat2(dirac_ONE(ELLIPTIC), 0, 0, dirac_ONE(HYPERBOLIC))
 
     def test_associative_product(self):
         a = _exp_n(ELLIPTIC, rational(1, 3))
@@ -127,6 +136,15 @@ class TestMoebiusMap:
 
         with pytest.raises(MetricMismatchError):
             clifford_moebius_map(CMat2.identity(ELLIPTIC), (x, y), HYPERBOLIC)
+
+    @pytest.mark.parametrize("args, message", [
+        ((CMat2.identity(ELLIPTIC), (x, y), ELLIPTIC, ELLIPTIC), "expected"),
+        ((dirac_ONE(ELLIPTIC), (x, y), ELLIPTIC), "first argument must be a CMat2"),
+        ((CMat2.identity(ELLIPTIC), (x, y), [[-1, 0], [0, -1]]), "last argument must be a MetricSpec"),
+    ], ids=["four-arguments", "not-a-matrix", "not-a-metric"])
+    def test_bad_arguments_rejected(self, args, message):
+        with pytest.raises(TypeError, match=message):
+            clifford_moebius_map(*args)
 
     def test_wrong_vector_length_rejected(self):
         z = symbol("z")

@@ -8,7 +8,7 @@ import xml.dom.minidom
 import pytest
 
 import cliffeph
-from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, write_curves
+from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, plotcli, write_curves
 from cliffeph.curves import FIELDS
 from cliffeph.ephgeom import MetricKind, Subgroup
 from cliffeph.plotcli import _build_parser, run_verify
@@ -130,6 +130,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "distance to center" in out
         assert "FAIL" not in out
+
+    def test_verify_failure_exits_1(self, monkeypatch, capsys):
+        verify_k_orbit = plotcli.verify_k_orbit
+        monkeypatch.setattr(plotcli, "verify_k_orbit",
+                            lambda kind, v0: verify_k_orbit(kind, v0)._replace(max_residual=1e-3))
+        assert cli_main(["verify", "--metric", "e"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert all(line.endswith("max residual 0.001 [FAIL]") for line in lines)
 
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

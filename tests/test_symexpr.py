@@ -113,6 +113,10 @@ class TestConstruction:
             with pytest.raises(ExprError):
                 x ** bad
 
+    def test_symbolic_exponent_rejected(self):
+        with pytest.raises(ExprError, match="only rational exponents"):
+            pow_(x, y)
+
     def test_functions_fold_at_zero(self):
         assert sin(ZERO) == ZERO
         assert cos(ZERO) == ONE
@@ -228,6 +232,10 @@ class TestDiff:
 
     def test_constant(self):
         assert diff(rational(5), x) == ZERO
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            diff(x, x, 0)
 
 
 class TestSubsEvalf:
@@ -351,6 +359,17 @@ class TestNormal:
         e = normal(rational(1) / (rational(2) * x + 2) + rational(1) / (rational(4) * y))
         assert to_str(e) == ("(1/4)*(y + x*y)**(-1) + (1/4)*x*(y + x*y)**(-1)"
                              " + (1/2)*y*(y + x*y)**(-1)")
+
+    def test_common_factor_cancels(self):
+        # over the common denominator (1 + x)**(5/2)*(2 + 2*x)**(3/2) every
+        # numerator term has the factor (1 + x)**2, which normal cancels
+        a, b = 1 + x, 2 + 2 * x
+        e = (3 * b ** Fraction(3, 2) + 2 * a ** Fraction(-5, 2) * b ** Fraction(1, 2)
+             + a ** Fraction(1, 2) * b ** Fraction(-3, 2))
+        n = normal(e)
+        assert to_str(n) == ("x*(1 + x)**(-1/2)*(2 + 2*x)**(-3/2) + 9*(1 + x)**(-1/2)*(2 + 2*x)**(-3/2)"
+                             " + 24*(1 + x)**3*(2 + 2*x)**(-3/2)")
+        assert normal(n) is n
 
 
 class TestLsolve:
