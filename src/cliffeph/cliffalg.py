@@ -284,7 +284,7 @@ def clifford_norm(m):
         if sx.as_fraction_value(sq) < 0:
             raise NegativeNormSquareError("norm square %r is negative" % (sq,))
         return sx.sqrt(sq)
-    if isinstance(sq, sx.Symbol) and sq.positive:
+    if sx.is_positive(sq):
         return sx.sqrt(sq)
     raise NonScalarSquareError(
         "norm square %r has no declared sign" % (sq,)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
+import marshal
 import math
 import os
 import sys
@@ -18,10 +20,12 @@ from .ephgeom import (
     MetricKind,
     Subgroup,
     TransformType,
+    build_families,
     sample_arrows,
     sample_future_past,
     sample_orbits,
     sample_transverses,
+    vector_fields,
     verify_k_orbit,
     verify_parabolic_vertices,
 )
@@ -173,33 +177,29 @@ def write_curves(records, path, fmt="jsonl", limits=None):
 # Pipelines
 
 
-def run_pipeline(name, config):
-    """Sample one pipeline and write its files, yielding each path as soon
-    as its file is written."""
+def run_pipeline(name, job, config):
+    """Sample one job of pipeline ``name``, a (metric, subgroup) pair or ()
+    for future-past, and write its files, yielding each path as soon as
+    its file is written.  ``cli_main`` prints the paths in the command's
+    task order once the tasks have run and any worker processes have
+    joined."""
     sampler, stems = PIPELINE_STEMS[name]
-    if name == "future-past":
-        jobs = [()]
-        limits = (FUTURE_PAST_LIMIT, FUTURE_PAST_LIMIT)
-    else:
-        jobs = [(kind, sub) for kind in config.kinds for sub in config.subs]
-        limits = None
-    for job in jobs:
-        result = globals()[sampler](*job)
-        for key, stem in stems.items():
-            if job:
-                fname = curve_filename(stem, job[1], job[0], config.fmt)
-            else:
-                fname = "%s.%s" % (stem, config.fmt)
-            path = os.path.join(config.out_dir, fname)
-            write_curves(result if key is None else result[key], path, config.fmt, limits)
-            yield path
+    limits = (FUTURE_PAST_LIMIT, FUTURE_PAST_LIMIT) if name == "future-past" else None
+    result = globals()[sampler](*job)
+    for key, stem in stems.items():
+        if job:
+            fname = curve_filename(stem, job[1], job[0], config.fmt)
+        else:
+            fname = "%s.%s" % (stem, config.fmt)
+        path = os.path.join(config.out_dir, fname)
+        write_curves(result if key is None else result[key], path, config.fmt, limits)
+        yield path
 
 
-def run_verify(config, out=None):
+def run_verify(config, out):
     """Numeric checks of the K-orbit focal properties and, in the
-    parabolic case, of the Cayley-image vertex law; returns True if
-    everything is within tolerance."""
-    out = out or sys.stdout
+    parabolic case, of the Cayley-image vertex law, reported to ``out``;
+    returns True if everything is within tolerance."""
     ok = True
     for kind in config.kinds:
         for v0 in DEFAULT_TUNING.vpoints[kind]:
@@ -233,6 +233,97 @@ def run_verify(config, out=None):
                     )
                 ok = ok and rep.ok
     return ok
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_stripe(tasks, config):
+    """Run (pipeline, job) tasks in order, up to the first that fails;
+    returns each one's stdout text, exit status and the exception that
+    stopped it or None, for the caller to raise once the text before it is
+    printed."""
+    results = []
+    for name, job in tasks:
+        out, status, err = io.StringIO(), 0, None
+        try:
+            if name != "verify":
+                out.writelines(path + "\n" for path in run_pipeline(name, job, config))
+            elif not run_verify(config, out):
+                status = 1
+        except BaseException as exc:
+            err = exc
+        results.append((out.getvalue(), status, err))
+        if status or err is not None:
+            break
+    return results
+
+
+def _fork_stripe(tasks, config):
+    """Fork a worker that runs ``_run_stripe(tasks, config)`` and sends its
+    results down a pipe, marshalled, the error pickled.  Returns (pid,
+    pipe); if the fork fails, pid is None and the pipe is empty."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        try:
+            *done, (text, status, err) = _run_stripe(tasks, config)
+            if err is not None:
+                import pickle  # only a failed task pays for the import
+
+                err = pickle.dumps(err)
+            with open(write_fd, "wb") as pipe:
+                marshal.dump(done + [(text, status, err)], pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _decoded(data):
+    """The results a worker sent, or [] if it sent none whole."""
+    try:
+        *done, (text, status, err) = marshal.loads(data)
+    except (EOFError, ValueError):
+        return []
+    if err is not None:
+        import pickle
+
+        err = pickle.loads(err)
+    return done + [(text, status, err)]
+
+
+def _run_tasks(tasks, config, workers):
+    """Yield each task's (text, status, error) in task order.  Task i runs
+    in worker i % workers, worker 0 being this process, which also runs
+    each task that its worker did not report."""
+    if workers > 1:  # built once here, so that no worker repeats the symbolic build
+        for kind in config.kinds:
+            if any(name != "arrows" for name, _ in tasks):  # arrows read only the fields
+                build_families(kind)
+            vector_fields(kind)
+    started, sent = [], []
+    try:
+        for w in range(1, workers):
+            started.append(_fork_stripe(tasks[w::workers], config))
+        stripes = [_run_stripe(tasks[::workers], config)]
+    finally:
+        for pid, pipe in started:
+            with pipe:
+                sent.append(pipe.read())
+            if pid:
+                os.waitpid(pid, 0)
+    stripes += map(_decoded, sent)
+    for i, task in enumerate(tasks):
+        stripe = stripes[i % workers]
+        yield stripe[i // workers] if i // workers < len(stripe) else _run_stripe([task], config)[0]
 
 
 _METRIC_FLAGS, _SUBGROUP_FLAGS = (
@@ -279,14 +370,19 @@ def cli_main(argv=None):
         print("cliffeph: error: cannot use --out %s: %s" % (config.out_dir, err.strerror),
               file=sys.stderr)
         return 2
+    jobs = [(kind, sub) for kind in config.kinds for sub in config.subs]
+    tasks = [(name, job) for name in pipelines
+             for job in ([()] if name in ("future-past", "verify") else jobs)]
+    # one worker per CPU, but no more than the command has metrics: a
+    # single-metric command runs in this process alone
+    workers = min(_usable_cpus(), len(config.kinds), len(tasks)) if hasattr(os, "fork") else 1
     status = 0
     try:
-        for name in pipelines:
-            if name != "verify":
-                for path in run_pipeline(name, config):
-                    print(path)
-            elif not run_verify(config):
-                status = 1
+        for text, status, err in _run_tasks(tasks, config, workers):
+            sys.stdout.write(text)
+            if err is not None:
+                raise err
+            if status:
                 break
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except BrokenPipeError as err:

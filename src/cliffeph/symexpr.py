@@ -869,6 +869,21 @@ def is_rational(e):
     return isinstance(e, Rational)
 
 
+def is_positive(e):
+    """Whether ``e`` is positive by construction, as GiNaC's
+    ``info_flags::positive`` answers: a positive rational, a positive
+    symbol, or a product, power or sum of positives."""
+    if isinstance(e, Rational):
+        return e.value > 0
+    if isinstance(e, Symbol):
+        return e.positive
+    if isinstance(e, Mul):
+        return all(map(is_positive, e.factors))
+    if isinstance(e, Add):
+        return all(map(is_positive, e.terms))
+    return isinstance(e, Pow) and is_positive(e.base)
+
+
 def as_fraction_value(e):
     if not isinstance(e, Rational):
         raise ExprError("expression is not a rational constant: %r" % (e,))

@@ -5,25 +5,30 @@ Clifford product as the oracle for its per-metric blade table, reference
 walkers for the term-order key, the derivative, the substitution and the
 float value of an expression, the reference content of a sum, and the
 operator-conjugated Moebius families that the vector fields are the
-t-derivatives of."""
+t-derivatives of, and one shared run of ``cliffeph all --format jsonl``."""
 
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+
+import pytest
 
 from cliffeph import (
     FreeSymbolError,
     Multivector,
     as_fraction_value,
     cayley_matrices,
+    cli_main,
     clifford_moebius_map,
     mat_mul,
     metric_for,
     subgroup_exp,
     symbols,
 )
-from cliffeph import symexpr
+from cliffeph import plotcli, symexpr
 from cliffeph.symexpr import ONE, ZERO, Add, Func, Mul, Pow, Rational, Symbol, add, mul, pow_
 
 
@@ -360,3 +365,16 @@ def operator_family(kind, sub, slot):
         left, right = ((cay.C, cay.CI), (cay.C1, cay.C1I))[slot - 1]
         mat = mat_mul(mat_mul(left, mat), right)
     return tuple(clifford_moebius_map(mat, (x, y), metric_for(kind)))
+
+
+@pytest.fixture(scope="session")
+def all_jsonl_run(tmp_path_factory):
+    """(exit status, stdout, output directory) of one ``cliffeph all
+    --format jsonl`` on two worker processes, whatever the host's CPU
+    count."""
+    out = tmp_path_factory.mktemp("all-jsonl")
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(plotcli, "_usable_cpus", lambda: 2)
+        status = cli_main(["all", "--format", "jsonl", "--out", str(out)])
+    return status, stdout.getvalue(), out

@@ -251,6 +251,27 @@ class TestNormInverse:
         with pytest.raises(NonScalarSquareError, match="norm square q has no declared sign"):
             clifford_norm(e0)
 
+    @pytest.mark.parametrize("square", [
+        pytest.param(lambda p: 2 * p, id="2p"),
+        pytest.param(lambda p: p * p, id="p^2"),
+    ])
+    def test_norm_square_positive_by_construction_has_a_root(self, square):
+        sq = square(symbol("p", positive=True))
+        e0, _ = clifford_units(MetricSpec.diag(-sq, -1))
+        assert norm_square(e0) == sq
+        assert clifford_norm(e0) == sqrt(sq)
+
+    @pytest.mark.parametrize("square", [
+        pytest.param(lambda p: -p, id="-p"),
+        pytest.param(lambda p: p - 1, id="p-1"),
+    ])
+    def test_norm_square_of_no_sign_rule_has_no_norm(self, square):
+        sq = square(symbol("p", positive=True))
+        e0, _ = clifford_units(MetricSpec.diag(-sq, -1))
+        assert norm_square(e0) == sq
+        with pytest.raises(NonScalarSquareError, match="has no declared sign"):
+            clifford_norm(e0)
+
     def test_non_scalar_product_has_no_norm_square(self):
         metric = MetricSpec.diag(-1, -1, -1)
         e0, e1, e2 = clifford_units(metric)

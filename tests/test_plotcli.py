@@ -255,6 +255,116 @@ class TestCli:
         assert len(lines) == 220
 
 
+def _no_children():
+    """Whether this process has no child process left, exited or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestWorkers:
+    """A multi-metric command runs its tasks on worker processes, one per
+    usable CPU; ``_usable_cpus`` is patched so that the host's count does
+    not decide which path runs."""
+
+    ARROWS = ["%s-%s" % (sub, kind) for kind in "eph" for sub in "ANK"]
+
+    def test_workers_write_and_print_what_one_process_does(
+            self, all_jsonl_run, tmp_path, monkeypatch, capsys):
+        status, stdout, out = all_jsonl_run
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 1)
+        assert cli_main(["all", "--format", "jsonl", "--out", str(tmp_path)]) == status == 0
+        assert capsys.readouterr().out == stdout.replace(str(out), str(tmp_path))
+        names = sorted(os.listdir(out))
+        assert len(names) == 71 and sorted(os.listdir(tmp_path)) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    # with three workers, task i runs in worker i % 3; worker 0 is the parent
+    @pytest.mark.parametrize("blocked", ["N-p", "K-e", "A-p"])
+    def test_failed_write_in_a_worker_exits_2(self, tmp_path, monkeypatch, capsys, blocked):
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 3)
+        (tmp_path / ("arrows-%s.jsonl" % blocked)).mkdir()
+        assert cli_main(["arrows", "--metric", "all", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cliffeph: error: cannot write ")
+        before = self.ARROWS[:self.ARROWS.index(blocked)]
+        assert captured.out.splitlines() == [str(tmp_path / ("arrows-%s.jsonl" % t)) for t in before]
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
+        assert _no_children()
+
+    def test_failed_verify_in_a_worker_exits_1_after_every_path(
+            self, tmp_path, monkeypatch, capsys):
+        # 11 tasks on three workers: verify, the last, runs in worker 1
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 3)
+        verify_k_orbit = plotcli.verify_k_orbit
+        monkeypatch.setattr(plotcli, "verify_k_orbit",
+                            lambda kind, v0: verify_k_orbit(kind, v0)._replace(max_residual=1e-3))
+        assert cli_main(["all", "--subgroup", "K", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        paths, report = lines[:29], lines[29:]
+        assert sorted(paths) == sorted(str(tmp_path / name) for name in os.listdir(tmp_path))
+        assert report and all("max residual 0.001" in line and line.endswith(" [FAIL]")
+                              for line in report)
+        assert _no_children()
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, cliffeph.FreeSymbolError])
+    def test_worker_error_is_raised_with_its_type_and_message(self, tmp_path, monkeypatch, error):
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 2)
+        parent, sample_arrows = os.getpid(), plotcli.sample_arrows
+
+        def sample_arrows_in_parent(kind, sub):
+            if os.getpid() != parent:
+                raise error("no arrows in a worker")
+            return sample_arrows(kind, sub)
+
+        monkeypatch.setattr(plotcli, "sample_arrows", sample_arrows_in_parent)
+        with pytest.raises(error) as excinfo:
+            cli_main(["arrows", "--metric", "all", "--out", str(tmp_path)])
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == "no arrows in a worker"
+        assert _no_children()
+
+    def test_failed_fork_runs_the_stripe_here(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 3)
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert cli_main(["arrows", "--metric", "all", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / ("arrows-%s.jsonl" % t)) for t in self.ARROWS]
+
+    @pytest.mark.parametrize("argv", [
+        ["orbits", "--metric", "e"],
+        ["verify", "--metric", "all"],
+    ])
+    def test_single_metric_or_single_task_command_never_forks(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 3)
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+
+    def test_all_is_warnings_clean_in_dev_mode(self, tmp_path):
+        # a worker's pipe left open is a ResourceWarning; from 3.12 a fork
+        # with threads running is a DeprecationWarning
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cliffeph.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "cliffeph", "all",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.splitlines()) == 71 + 29
+
+
 class TestJobConfig:
     def test_run_verify_report_stream(self, tmp_path):
         import io

@@ -43,6 +43,7 @@ from cliffeph.symexpr import (
     add,
     clear_memo,
     compile_ex,
+    is_positive,
     mul,
     pow_,
 )
@@ -370,6 +371,24 @@ class TestNormal:
         assert to_str(n) == ("x*(1 + x)**(-1/2)*(2 + 2*x)**(-3/2) + 9*(1 + x)**(-1/2)*(2 + 2*x)**(-3/2)"
                              " + 24*(1 + x)**3*(2 + 2*x)**(-3/2)")
         assert normal(n) is n
+
+
+class TestPositive:
+    p, q = symbol("p", positive=True), symbol("q", positive=True)
+
+    @pytest.mark.parametrize("make", [
+        lambda p, q: rational(1, 3), lambda p, q: p, lambda p, q: 2 * p * q,
+        lambda p, q: p ** -3, lambda p, q: sqrt(p + 1), lambda p, q: p + q / 2,
+    ])
+    def test_positive_by_construction(self, make):
+        assert is_positive(make(self.p, self.q))
+
+    @pytest.mark.parametrize("make", [
+        lambda p, q: ZERO, lambda p, q: rational(-1, 3), lambda p, q: x, lambda p, q: -p,
+        lambda p, q: p - 1, lambda p, q: x * x, lambda p, q: p * x, lambda p, q: exp(p),
+    ])
+    def test_no_sign_rule(self, make):
+        assert not is_positive(make(self.p, self.q))
 
 
 class TestLsolve:
