@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import symexpr as sx
@@ -244,19 +244,22 @@ def curvature(kind, slot=0):
 # Numeric sampling
 
 
-def _in_limits(u, v, kind, cayley):
-    """Whether an orbit or transverse point is drawn: finite, inside the
-    plot box and, for the hyperbolic metric, above the u axis (direct) or
-    inside the unit hyperbola (Cayley images)."""
-    if not (math.isfinite(u) and math.isfinite(v)):
-        return False
-    if abs(u) > DEFAULT_TUNING.ulim or abs(v) > DEFAULT_TUNING.vlim:
-        return False
+def _accept(kind, cayley):
+    """``accept(u, v)``, whether an orbit or transverse point is drawn: it
+    is inside the plot box, which nan and inf are not, and for the
+    hyperbolic metric above the u axis (direct) or inside the unit
+    hyperbola (Cayley images)."""
+    ulim, vlim = DEFAULT_TUNING.ulim, DEFAULT_TUNING.vlim
     if kind != MetricKind.HYPERBOLIC:
-        return True
-    if not cayley:
-        return v >= 0
-    return -(u * u) + v * v - 1.001 <= 0
+        def accept(u, v):
+            return abs(u) <= ulim and abs(v) <= vlim
+    elif not cayley:
+        def accept(u, v):
+            return abs(u) <= ulim and abs(v) <= vlim and v >= 0
+    else:
+        def accept(u, v):
+            return abs(u) <= ulim and abs(v) <= vlim and -(u * u) + v * v - 1.001 <= 0
+    return accept
 
 
 def _is_finite(u, v):
@@ -285,8 +288,9 @@ def _sample(kind_name, label, fn, direction, curves, accept, pen):
     """The sampling loop of every figure: each run of ``_runs`` is one
     polyline, numbered from 0, and each of its outputs is emitted with
     ``direction(*output)``.  Returns the records."""
+    make = CurveRecord._make
     return [
-        CurveRecord(curve_id, kind_name, label, out[0], out[1], *direction(*out), grade, pen)
+        make((curve_id, kind_name, label, out[0], out[1], *direction(*out), grade, pen))
         for curve_id, (grade, run) in enumerate(_runs(fn, curves, accept))
         for out in run
     ]
@@ -322,16 +326,16 @@ def _node_parameters(sub, kind):
 def _transverse_direction(u, v, tu, tv):
     """(tu, tv) as a direction: infinity maps to a unit axis direction, very
     large vectors are normalized, anything non-numeric gives the horizontal unit."""
+    if abs(tu) + abs(tv) <= 100:  # false for nan and inf
+        return tu, tv
     if math.isnan(tu) or math.isnan(tv):
         return 1.0, 0.0
     if math.isinf(tu):
         return math.copysign(1.0, tu), 0.0
     if math.isinf(tv):
         return 0.0, math.copysign(1.0, tv)
-    if abs(tu) + abs(tv) > 100:
-        r = math.hypot(tu, tv)
-        return tu / r, tv / r
-    return tu, tv
+    r = math.hypot(tu, tv)
+    return tu / r, tv / r
 
 
 def _sample_streams(kind, kind_name, curves, stream, pen):
@@ -340,7 +344,7 @@ def _sample_streams(kind, kind_name, curves, stream, pen):
     {transform type: records}."""
     return {
         t: _sample(kind_name, t.label, *stream(t), curves,
-                   partial(_in_limits, kind=kind, cayley=t != TransformType.DIRECT), pen)
+                   _accept(kind, t != TransformType.DIRECT), pen)
         for t in TransformType
     }
 

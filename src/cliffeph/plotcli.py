@@ -10,7 +10,8 @@ import marshal
 import math
 import os
 import sys
-from itertools import groupby
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ephgeom import (
@@ -79,9 +80,23 @@ _JSONL_LINE = (
 )
 
 
+_FLOATS = itemgetter(slice(3, None))  # the six floats after curve_id, kind and transform
+
+
 def _jsonl_line(rec):
-    _finite(*rec[3:])  # the six floats after curve_id, kind and transform
+    _finite(*_FLOATS(rec))
     return _JSONL_LINE % rec
+
+
+def _write_jsonl(records, fh):
+    """One finiteness pass over every float, then plain formatting; if a
+    value is not finite, ``_jsonl_line`` names the first record holding one."""
+    if not isinstance(records, (list, tuple)):
+        records = list(records)
+    if all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))):
+        fh.writelines(map(_JSONL_LINE.__mod__, records))
+    else:
+        fh.writelines(map(_jsonl_line, records))
 
 
 def _gray(grade):
@@ -161,7 +176,7 @@ def write_curves(records, path, fmt="jsonl", limits=None):
     try:
         with open(part, "w", newline="\n") as fh:
             if fmt == "jsonl":
-                fh.writelines(map(_jsonl_line, records))
+                _write_jsonl(records, fh)
             else:
                 _write_svg(records, fh, limits)
         os.replace(part, path)

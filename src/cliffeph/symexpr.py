@@ -585,7 +585,10 @@ def _compile(exprs, args):
 
     A sum folds left from int 0 in term order (``0 + a + b``, what builtin
     ``sum`` did before Python 3.12 made float sums compensated), a product
-    from 1.0; constants are float literals, ±inf when out of range.
+    from 1.0; constants are float literals, ±inf when out of range.  A
+    square is ``b * b`` and a reciprocal ``1.0 / b`` (+inf for a zero base),
+    each one correctly rounded operation; other powers go through
+    ``_ipow`` and ``_rpow``.
     """
     lines = []
     names = {}
@@ -616,7 +619,11 @@ def _compile(exprs, args):
             continue
         if isinstance(x, Pow):
             base, q = ref(x.base), x.exponent
-            if q.denominator == 1:
+            if q == 2:
+                rhs = "%s * %s" % (base, base)
+            elif q == -1:
+                rhs = "(1.0 / %s if %s else inf)" % (base, base)
+            elif q.denominator == 1:
                 rhs = "_ipow(%s, %d)" % (base, q.numerator)
             else:
                 try:

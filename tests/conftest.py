@@ -312,7 +312,8 @@ def reference_subs(e, b):
 def reference_evalf(e, env):
     """Float value of an expression by a recursive walk of the whole tree,
     ``env`` mapping names to floats; the oracle for the compiled evaluator.
-    Sums fold left from int 0 in term order, products from 1.0."""
+    Sums fold left from int 0 in term order, products from 1.0; a square is
+    ``b * b`` and a reciprocal ``1.0 / b``."""
     if isinstance(e, Rational):
         try:
             return float(e.value)
@@ -334,6 +335,10 @@ def reference_evalf(e, env):
         return r
     if isinstance(e, Pow):
         b, q = reference_evalf(e.base, env), e.exponent
+        if q == 2:  # one correctly rounded operation, not pow
+            return b * b
+        if q == -1:
+            return 1.0 / b if b else math.inf
         try:
             if q.denominator == 1:
                 return b ** int(q)

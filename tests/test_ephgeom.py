@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
@@ -298,6 +299,27 @@ class TestCurvature:
             )
 
 
+_ABOVE_25 = math.nextafter(25.0, math.inf)
+_ABOVE_70 = math.nextafter(70.0, math.inf)
+_ABOVE_100 = math.nextafter(100.0, math.inf)
+# (u, v) of the plot-box table and whether the point is drawn
+_BOX_CASES = [
+    ((25.0, 0.0), True), ((-25.0, 0.0), True), ((0.0, 25.0), True), ((25.0, 25.0), True),
+    ((0.0, -25.0), True), ((-25.0, -25.0), True),
+    ((_ABOVE_25, 0.0), False), ((-_ABOVE_25, 0.0), False),
+    ((0.0, _ABOVE_25), False), ((0.0, -_ABOVE_25), False),
+    ((math.nan, 0.0), False), ((0.0, math.nan), False),
+    ((math.inf, 0.0), False), ((-math.inf, 0.0), False),
+    ((0.0, math.inf), False), ((0.0, -math.inf), False),
+]
+# v^2 - u^2 - 1.001 is exactly 0.0 in floats at this point
+_ON_HYPERBOLA = (1.0, 1.4145670715805596)
+
+
+def _float_bits(value):
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
 class TestSampling:
     def test_arrow_grid_is_220(self):
         for kind in KINDS:
@@ -384,9 +406,54 @@ class TestSampling:
         (5.0, -math.inf, (0.0, -1.0)),
         (60.0, -80.0, (0.6, -0.8)),  # |tu| + |tv| > 100 is normalized
         (30.0, 40.0, (30.0, 40.0)),
+        (math.nan, math.inf, (1.0, 0.0)),
+        (math.inf, math.nan, (1.0, 0.0)),
+        (math.inf, math.inf, (1.0, 0.0)),
+        (-math.inf, -math.inf, (-1.0, 0.0)),
+        # |tu| + |tv| exactly 100 is kept, signed zeros too
+        (60.0, 40.0, (60.0, 40.0)),
+        (100.0, -0.0, (100.0, -0.0)),
+        (-0.0, -100.0, (-0.0, -100.0)),
+        (0.0, -0.0, (0.0, -0.0)),
+        (_ABOVE_100, 0.0, (1.0, 0.0)),
+        (-0.0, -_ABOVE_100, (-0.0, -1.0)),
+        (30.0, _ABOVE_70, (30.0 / math.hypot(30.0, _ABOVE_70),
+                           _ABOVE_70 / math.hypot(30.0, _ABOVE_70))),
+        # the sum overflows, the hypotenuse does not
+        (1e308, -1e308, (1e308 / math.hypot(1e308, 1e308), -1e308 / math.hypot(1e308, 1e308))),
     ])
     def test_transverse_direction_of_extreme_values(self, tu, tv, expected):
-        assert ephgeom._transverse_direction(0.0, 0.0, tu, tv) == expected
+        got = ephgeom._transverse_direction(0.0, 0.0, tu, tv)
+        assert [_float_bits(c) for c in got] == [_float_bits(c) for c in expected]
+
+    @pytest.mark.parametrize("kind,cayley,u,v,drawn", [
+        *[(kind, cayley, u, v, drawn)
+          for kind in (MetricKind.ELLIPTIC, MetricKind.PARABOLIC)
+          for cayley in (False, True)
+          for (u, v), drawn in _BOX_CASES],
+        *[(MetricKind.HYPERBOLIC, False, u, v, drawn) for (u, v), drawn in _BOX_CASES if v >= 0],
+        (MetricKind.HYPERBOLIC, False, 3.0, 0.0, True),
+        (MetricKind.HYPERBOLIC, False, 3.0, -0.0, True),
+        (MetricKind.HYPERBOLIC, False, 3.0, -1e-300, False),
+        (MetricKind.HYPERBOLIC, False, 3.0, -25.0, False),
+        (MetricKind.HYPERBOLIC, True, *_ON_HYPERBOLA, True),
+        (MetricKind.HYPERBOLIC, True, 1.0, math.nextafter(_ON_HYPERBOLA[1], 0.0), True),
+        (MetricKind.HYPERBOLIC, True, 1.0, math.nextafter(_ON_HYPERBOLA[1], 2.0), False),
+        (MetricKind.HYPERBOLIC, True, 0.0, -1.0, True),
+        (MetricKind.HYPERBOLIC, True, 3.0, 3.1, True),
+        (MetricKind.HYPERBOLIC, True, 25.0, -25.0, True),
+        (MetricKind.HYPERBOLIC, True, 0.0, 1.1, False),
+        (MetricKind.HYPERBOLIC, True, 3.0, -3.2, False),
+        (MetricKind.HYPERBOLIC, True, _ABOVE_25, 25.0, False),
+        (MetricKind.HYPERBOLIC, True, math.nan, 0.0, False),
+        (MetricKind.HYPERBOLIC, True, 0.0, math.inf, False),
+    ])
+    def test_acceptance_rule(self, kind, cayley, u, v, drawn):
+        assert ephgeom._accept(kind, cayley)(u, v) is drawn
+
+    def test_on_hyperbola_point_is_on_it_in_floats(self):
+        u, v = _ON_HYPERBOLA
+        assert -(u * u) + v * v - 1.001 == 0
 
     def test_sampling_is_deterministic(self):
         a = sample_orbits(MetricKind.HYPERBOLIC, Subgroup.N)

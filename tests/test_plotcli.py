@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -82,6 +83,37 @@ class TestWriteSafety:
         with pytest.raises(ValueError):
             write_curves([_rec(**first), _rec(u=0.7, **{name: bad})], tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_jsonl_error_names_the_first_bad_record(self, tmp_path, bad):
+        recs = [_rec(i=k, u=k / 400) for k in range(400)]
+        recs[299] = recs[299]._replace(dv=bad)
+        recs[350] = recs[350]._replace(u=math.nan)
+        floats = (299 / 400, 1.5, 1.0, bad, 0.3, 1.5)
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot write non-finite number in %r" % (floats,))):
+            write_curves(recs, tmp_path / "a.jsonl", "jsonl")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("order,error", [
+        (("nan", "none"), ValueError),
+        (("none", "nan"), TypeError),
+    ])
+    def test_jsonl_first_bad_record_picks_the_error(self, tmp_path, order, error):
+        bad = {"nan": _rec(v=math.nan), "none": _rec(v=None)}
+        with pytest.raises(error):
+            write_curves([_rec(), *(bad[name] for name in order)], tmp_path / "a.jsonl", "jsonl")
+        assert os.listdir(tmp_path) == []
+
+    def test_jsonl_generator_input_writes_the_list_bytes(self, tmp_path):
+        recs = [_rec(i=k // 3, u=k / 7, v=-k / 9) for k in range(10)]
+        write_curves(recs, tmp_path / "list.jsonl", "jsonl")
+        write_curves((r for r in recs), tmp_path / "gen.jsonl", "jsonl")
+        write_curves(tuple(recs), tmp_path / "tuple.jsonl", "jsonl")
+        data = (tmp_path / "list.jsonl").read_bytes()
+        assert data.count(b"\n") == 10
+        assert (tmp_path / "gen.jsonl").read_bytes() == data
+        assert (tmp_path / "tuple.jsonl").read_bytes() == data
 
     def test_unwritable_path_wraps_os_error(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):

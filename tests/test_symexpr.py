@@ -596,6 +596,43 @@ def test_compiled_outputs_match_reference_walker_bit_for_bit(exprs, xv, yv):
     assert [_bits(v) for v in out] == [_bits(reference_evalf(e, env)) for e in exprs]
 
 
+def _calls_ipow(q):
+    return "_ipow" in compile_ex((pow_(x, q),), ("x",)).__code__.co_names
+
+
+@pytest.mark.parametrize("q,inline", [(2, True), (-1, True), (3, False), (-2, False)])
+def test_only_the_square_and_the_reciprocal_compile_inline(q, inline):
+    assert _calls_ipow(q) is not inline
+
+
+# pow(v, 2) and pow(v, -1) of the C library are off by one bit here on
+# some hosts, where v * v and 1.0 / v are correctly rounded
+@settings(max_examples=100, deadline=None)
+@given(eval_values)
+@example(-707.076519201308)
+@example(12.634701195110438)
+def test_square_and_reciprocal_are_single_float_operations(v):
+    square, reciprocal = compile_ex((pow_(x, 2), pow_(x, -1)), ("x",))(v)
+    assert _bits(square) == _bits(v * v)
+    assert _bits(reciprocal) == _bits(1.0 / v if v else math.inf)
+
+
+@pytest.mark.parametrize("q,value,expected", [
+    (3, 1e300, math.inf),
+    (3, -1e300, -math.inf),
+    (3, -0.0, -0.0),
+    (3, -math.inf, -math.inf),
+    (-2, 0.0, math.inf),
+    (-2, -0.0, math.inf),
+    (-2, 1e-300, math.inf),
+    (-2, -1e-300, math.inf),
+    (-2, -math.inf, 0.0),
+])
+def test_other_integer_powers_keep_the_overflow_and_zero_rules(q, value, expected):
+    assert _calls_ipow(q)
+    assert _bits(evalf(pow_(x, q), {"x": value})) == _bits(expected)
+
+
 def _no_product_base(e):
     """Not a rational, a product or a power of a product: an integer power
     of a product distributes over its factors, so ``(x/(x + y))**-1`` is
