@@ -83,24 +83,7 @@ _JSONL_LINE = (
 _FLOATS = itemgetter(slice(3, None))  # the six floats after curve_id, kind and transform
 
 
-def _jsonl_line(rec):
-    _finite(*_FLOATS(rec))
-    return _JSONL_LINE % rec
-
-
-def _write_jsonl(records, fh):
-    """One finiteness pass over every float, then plain formatting; if a
-    value is not finite, ``_jsonl_line`` names the first record holding one."""
-    if not isinstance(records, (list, tuple)):
-        records = list(records)
-    if all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))):
-        fh.writelines(map(_JSONL_LINE.__mod__, records))
-    else:
-        fh.writelines(map(_jsonl_line, records))
-
-
 def _gray(grade):
-    (grade,) = _finite(grade)
     level = 0.6 * min(max(grade, 0.0), 1.0)
     return "rgb(%d,%d,%d)" % ((round(255 * level),) * 3)
 
@@ -109,76 +92,74 @@ _ARROW_SCALE = 0.25
 _HEAD_SCALE = 0.08
 
 
-def _svg_arrow(rec, out):
+def _svg_arrow(rec):
     du, dv = rec.du, rec.dv
     r = math.hypot(du, dv)
     if r == 0:
         return
-    tip_u = rec.u + _ARROW_SCALE * du
-    tip_v = rec.v + _ARROW_SCALE * dv
+    tip_u, tip_v = _finite(rec.u + _ARROW_SCALE * du, rec.v + _ARROW_SCALE * dv)
     gray = _gray(rec.color_grade)
-    out.append(
-        '<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g" stroke="%s" stroke-width="%.9g"/>'
-        % (*_finite(rec.u, rec.v, tip_u, tip_v), gray, *_finite(0.02 * rec.pen_width_hint))
+    yield (
+        '<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g" stroke="%s" stroke-width="%.9g"/>\n'
+        % (rec.u, rec.v, tip_u, tip_v, gray, 0.02 * rec.pen_width_hint)
     )
     # triangle head: tip plus two base corners set back along the shaft
     ux, uy = du / r, dv / r
     bx = tip_u - _HEAD_SCALE * ux
     by = tip_v - _HEAD_SCALE * uy
     px, py = -uy * _HEAD_SCALE / 2, ux * _HEAD_SCALE / 2
-    out.append(
-        '<polygon points="%.9g,%.9g %.9g,%.9g %.9g,%.9g" fill="%s"/>'
-        % (*_finite(tip_u, tip_v, bx + px, by + py, bx - px, by - py), gray)
+    yield (
+        '<polygon points="%.9g,%.9g %.9g,%.9g %.9g,%.9g" fill="%s"/>\n'
+        % (tip_u, tip_v, bx + px, by + py, bx - px, by - py, gray)
     )
 
 
-def _write_svg(records, fh, limits):
-    ulim, vlim = limits
-    body = []
-    for _, group in groupby(records, lambda rec: rec.curve_id):
-        run = list(group)
-        if run[0].kind == "arrow":
-            for rec in run:
-                _svg_arrow(rec, body)
-            continue
-        if len(run) < 2:
-            continue
-        coords = " L ".join("%.9g %.9g" % _finite(r.u, r.v) for r in run)
-        body.append(
-            '<path d="M %s" fill="none" stroke="%s" stroke-width="%.9g"/>'
-            % (coords, _gray(run[0].color_grade), *_finite(0.02 * run[0].pen_width_hint))
-        )
+def _svg_lines(records, limits):
+    """The SVG picture's lines; ``limits`` None is the default plot box."""
+    ulim, vlim = (DEFAULT_TUNING.ulim, DEFAULT_TUNING.vlim) if limits is None else limits
     box = _finite(-ulim, -vlim, 2 * ulim, 2 * vlim)
-    fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    fh.write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9g %.9g %.9g %.9g">\n' % box)
-    fh.write(
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9g %.9g %.9g %.9g">\n' % box
+    yield (
         '<defs><clipPath id="frame"><rect x="%.9g" y="%.9g" width="%.9g" height="%.9g"/>'
         "</clipPath></defs>\n" % box
     )
     # flip the y axis so v grows upwards as in the plane
-    fh.write('<g clip-path="url(#frame)" transform="scale(1,-1)">\n')
-    for line in body:
-        fh.write(line)
-        fh.write("\n")
-    fh.write("</g>\n</svg>\n")
+    yield '<g clip-path="url(#frame)" transform="scale(1,-1)">\n'
+    for _, group in groupby(records, itemgetter(0)):
+        run = list(group)
+        if run[0].kind == "arrow":
+            for rec in run:
+                yield from _svg_arrow(rec)
+        elif len(run) > 1:
+            coords = " L ".join("%.9g %.9g" % (r.u, r.v) for r in run)
+            yield (
+                '<path d="M %s" fill="none" stroke="%s" stroke-width="%.9g"/>\n'
+                % (coords, _gray(run[0].color_grade), 0.02 * run[0].pen_width_hint)
+            )
+    yield "</g>\n</svg>\n"
 
 
 def write_curves(records, path, fmt="jsonl", limits=None):
-    """Write records to ``path`` as JSONL (one record per line, fixed key
-    order, 9 significant digits) or as an SVG picture.  The file is
-    written beside ``path`` and renamed onto it, so on any error ``path``
-    keeps its old content and nothing else is left behind."""
+    """Write ``CurveRecord`` tuples to ``path`` as JSONL (one record per
+    line, fixed key order, 9 significant digits) or as an SVG picture.
+    A nan or inf in any record raises ``ValueError`` naming the first bad
+    record's six floats before any file is opened; SVG also refuses an
+    overflowing arrow tip and a non-finite view box.  The file is written
+    beside ``path`` and renamed onto it, so on any error ``path`` keeps
+    its old content and nothing else is left behind."""
     if fmt not in ("jsonl", "svg"):
         raise ValueError("unknown format %r" % (fmt,))
-    if limits is None:
-        limits = (DEFAULT_TUNING.ulim, DEFAULT_TUNING.vlim)
+    if not isinstance(records, (list, tuple)):
+        records = list(records)
+    if not all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))):
+        for rec in records:
+            _finite(*_FLOATS(rec))
+    lines = map(_JSONL_LINE.__mod__, records) if fmt == "jsonl" else _svg_lines(records, limits)
     part = os.fspath(path) + ".part"
     try:
         with open(part, "w", newline="\n") as fh:
-            if fmt == "jsonl":
-                _write_jsonl(records, fh)
-            else:
-                _write_svg(records, fh, limits)
+            fh.writelines(lines)
         os.replace(part, path)
     except BaseException as err:
         with contextlib.suppress(OSError):

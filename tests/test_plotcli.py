@@ -61,6 +61,9 @@ class TestJsonl:
         assert os.listdir(tmp_path) == []
 
 
+_BAD_ORDERS = [(("nan", "none"), ValueError), (("none", "nan"), TypeError)]
+
+
 class TestWriteSafety:
     @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
     def test_failed_rewrite_keeps_old_file(self, tmp_path, fmt):
@@ -73,47 +76,70 @@ class TestWriteSafety:
         assert os.listdir(tmp_path) == [path.name]
 
     @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
-    @pytest.mark.parametrize("name,bad", [
-        pytest.param(name, bad, id=("%s" if name == "v" else "grade-%s") % bad)
-        for name in ("v", "color_grade") for bad in (math.nan, math.inf, -math.inf)
+    @pytest.mark.parametrize("first,second", [
+        *(pytest.param({}, {"v": bad}, id="%s" % bad) for bad in (math.nan, math.inf, -math.inf)),
+        *(pytest.param({"color_grade": bad}, {"color_grade": bad}, id="grade-%s" % bad)
+          for bad in (math.nan, math.inf, -math.inf)),
+        # SVG draws a polyline from its points and its first record's grade and width
+        *(pytest.param({}, {name: bad}, id="second-%s-%s" % (name, bad))
+          for name in ("du", "dv", "color_grade", "pen_width_hint") for bad in (math.nan, math.inf)),
+        # SVG draws no path for a lone point
+        pytest.param(None, {"u": math.inf}, id="lone-u-inf"),
     ])
-    def test_non_finite_number_raises_and_leaves_no_file(self, tmp_path, fmt, name, bad):
-        # a polyline is drawn in its first record's grade, so both records carry it
-        first = {"color_grade": bad} if name == "color_grade" else {}
+    def test_non_finite_number_raises_and_leaves_no_file(self, tmp_path, fmt, first, second):
+        recs = [] if first is None else [_rec(**first)]
         with pytest.raises(ValueError):
-            write_curves([_rec(**first), _rec(u=0.7, **{name: bad})], tmp_path / ("a." + fmt), fmt)
+            write_curves(recs + [_rec(**{"u": 0.7, **second})], tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_jsonl_error_names_the_first_bad_record(self, tmp_path, bad):
+    def test_jsonl_error_names_the_first_bad_record(self, tmp_path, bad, fmt="jsonl"):
         recs = [_rec(i=k, u=k / 400) for k in range(400)]
         recs[299] = recs[299]._replace(dv=bad)
         recs[350] = recs[350]._replace(u=math.nan)
         floats = (299 / 400, 1.5, 1.0, bad, 0.3, 1.5)
         with pytest.raises(ValueError, match=re.escape(
                 "cannot write non-finite number in %r" % (floats,))):
-            write_curves(recs, tmp_path / "a.jsonl", "jsonl")
+            write_curves(recs, tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("order,error", [
-        (("nan", "none"), ValueError),
-        (("none", "nan"), TypeError),
-    ])
-    def test_jsonl_first_bad_record_picks_the_error(self, tmp_path, order, error):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_svg_error_names_the_first_bad_record(self, tmp_path, bad):
+        self.test_jsonl_error_names_the_first_bad_record(tmp_path, bad, "svg")
+
+    @pytest.mark.parametrize("order,error", _BAD_ORDERS)
+    def test_jsonl_first_bad_record_picks_the_error(self, tmp_path, order, error, fmt="jsonl"):
         bad = {"nan": _rec(v=math.nan), "none": _rec(v=None)}
         with pytest.raises(error):
-            write_curves([_rec(), *(bad[name] for name in order)], tmp_path / "a.jsonl", "jsonl")
+            write_curves([_rec(), *(bad[name] for name in order)], tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
 
-    def test_jsonl_generator_input_writes_the_list_bytes(self, tmp_path):
+    @pytest.mark.parametrize("order,error", _BAD_ORDERS)
+    def test_svg_first_bad_record_picks_the_error(self, tmp_path, order, error):
+        self.test_jsonl_first_bad_record_picks_the_error(tmp_path, order, error, "svg")
+
+    def test_jsonl_generator_input_writes_the_list_bytes(self, tmp_path, fmt="jsonl", lines=10):
         recs = [_rec(i=k // 3, u=k / 7, v=-k / 9) for k in range(10)]
-        write_curves(recs, tmp_path / "list.jsonl", "jsonl")
-        write_curves((r for r in recs), tmp_path / "gen.jsonl", "jsonl")
-        write_curves(tuple(recs), tmp_path / "tuple.jsonl", "jsonl")
-        data = (tmp_path / "list.jsonl").read_bytes()
-        assert data.count(b"\n") == 10
-        assert (tmp_path / "gen.jsonl").read_bytes() == data
-        assert (tmp_path / "tuple.jsonl").read_bytes() == data
+        write_curves(recs, tmp_path / ("list." + fmt), fmt)
+        write_curves((r for r in recs), tmp_path / ("gen." + fmt), fmt)
+        write_curves(tuple(recs), tmp_path / ("tuple." + fmt), fmt)
+        data = (tmp_path / ("list." + fmt)).read_bytes()
+        assert data.count(b"\n") == lines
+        assert (tmp_path / ("gen." + fmt)).read_bytes() == data
+        assert (tmp_path / ("tuple." + fmt)).read_bytes() == data
+
+    def test_svg_generator_input_writes_the_list_bytes(self, tmp_path):
+        # 4 header lines, a path for each of curves 0-2 (curve 3 is one point), 2 footer lines
+        self.test_jsonl_generator_input_writes_the_list_bytes(tmp_path, "svg", 4 + 3 + 2)
+
+    @pytest.mark.parametrize("recs,limits", [
+        pytest.param([_rec(kind="arrow", u=1.7e308, du=1e308)], None, id="arrow-tip"),
+        pytest.param([_rec(), _rec(u=0.7)], (math.inf, 25.0), id="view-box"),
+    ])
+    def test_svg_overflowing_tip_or_box_raises_and_leaves_no_file(self, tmp_path, recs, limits):
+        with pytest.raises(ValueError):
+            write_curves(recs, tmp_path / "a.svg", "svg", limits=limits)
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_path_wraps_os_error(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):
@@ -384,17 +410,21 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", fork)
         assert cli_main(argv + ["--out", str(tmp_path)]) == 0
 
-    def test_all_is_warnings_clean_in_dev_mode(self, tmp_path):
+    def test_all_is_warnings_clean_in_dev_mode(self, tmp_path, fmt="jsonl"):
         # a worker's pipe left open is a ResourceWarning; from 3.12 a fork
         # with threads running is a DeprecationWarning
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cliffeph.__file__)))
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "cliffeph", "all",
-             "--out", str(tmp_path)],
+             "--format", fmt, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(proc.stdout.splitlines()) == 71 + 29
+
+    def test_all_svg_is_warnings_clean_in_dev_mode(self, tmp_path):
+        # the SVG lines stream from a generator into writelines
+        self.test_all_is_warnings_clean_in_dev_mode(tmp_path, "svg")
 
 
 class TestJobConfig:
