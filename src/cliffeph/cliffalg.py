@@ -280,15 +280,11 @@ def norm_square(m):
 
 def clifford_norm(m):
     sq = norm_square(m)
+    if sq is ZERO or sx.is_positive(sq):
+        return sx.sqrt(sq)
     if sx.is_rational(sq):
-        if sx.as_fraction_value(sq) < 0:
-            raise NegativeNormSquareError("norm square %r is negative" % (sq,))
-        return sx.sqrt(sq)
-    if sx.is_positive(sq):
-        return sx.sqrt(sq)
-    raise NonScalarSquareError(
-        "norm square %r has no declared sign" % (sq,)
-    )
+        raise NegativeNormSquareError("norm square %r is negative" % (sq,))
+    raise NonScalarSquareError("norm square %r has no declared sign" % (sq,))
 
 
 def clifford_inverse(m):

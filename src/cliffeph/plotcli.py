@@ -9,8 +9,9 @@ import io
 import marshal
 import math
 import os
+import re
 import sys
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -35,18 +36,12 @@ from .ephgeom import (
 # list out of the sampler's result; None takes the whole result.  The
 # sampler is looked up by name when it runs, so rebinding the module
 # attribute takes effect.  future-past runs once, the others once per
-# (metric, subgroup).
+# (metric, subgroup).  A transverse stem is its orbit stem plus "-t".
+_ORBIT_STEMS = {TransformType.DIRECT: "orbit", TransformType.CAYLEY_POINT: "cayley",
+                TransformType.CAYLEY1_POINT: "cayl-a"}
 PIPELINE_STEMS = {
-    "orbits": ("sample_orbits", {
-        TransformType.DIRECT: "orbit",
-        TransformType.CAYLEY_POINT: "cayley",
-        TransformType.CAYLEY1_POINT: "cayl-a",
-    }),
-    "transverses": ("sample_transverses", {
-        TransformType.DIRECT: "orbit-t",
-        TransformType.CAYLEY_POINT: "cayley-t",
-        TransformType.CAYLEY1_POINT: "cayl-a-t",
-    }),
+    "orbits": ("sample_orbits", _ORBIT_STEMS),
+    "transverses": ("sample_transverses", {t: s + "-t" for t, s in _ORBIT_STEMS.items()}),
     "arrows": ("sample_arrows", {None: "arrows"}),
     "future-past": (
         "sample_future_past",
@@ -80,7 +75,23 @@ _JSONL_LINE = (
 )
 
 
+_ID, _TEXTS = itemgetter(0), itemgetter(1, 2)  # curve_id; kind and transform
 _FLOATS = itemgetter(slice(3, None))  # the six floats after curve_id, kind and transform
+# a plain string, which "%s" writes as JSON: no quote, backslash or control character
+_PLAIN = re.compile(r'[^"\\\x00-\x1f]*').fullmatch
+
+
+def _all_valid(records):
+    """Whether every record has an int curve_id, a plain kind and
+    transform and finite floats, checked a field at a time; a non-number
+    in a float field raises ``TypeError``."""
+    try:
+        pairs = set(map(_TEXTS, records))  # few distinct kinds and transforms
+    except TypeError:  # an unhashable one, which is no string
+        return False
+    return (all(map(isinstance, map(_ID, records), repeat(int)))
+            and all(isinstance(text, str) and _PLAIN(text) for text in chain.from_iterable(pairs))
+            and all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))))
 
 
 def _gray(grade):
@@ -97,7 +108,8 @@ def _svg_arrow(rec):
     r = math.hypot(du, dv)
     if r == 0:
         return
-    tip_u, tip_v = _finite(rec.u + _ARROW_SCALE * du, rec.v + _ARROW_SCALE * dv)
+    # finite inputs can overflow the tip, or the length that aims the head
+    tip_u, tip_v, _ = _finite(rec.u + _ARROW_SCALE * du, rec.v + _ARROW_SCALE * dv, r)
     gray = _gray(rec.color_grade)
     yield (
         '<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g" stroke="%s" stroke-width="%.9g"/>\n'
@@ -118,6 +130,8 @@ def _svg_lines(records, limits):
     """The SVG picture's lines; ``limits`` None is the default plot box."""
     ulim, vlim = (DEFAULT_TUNING.ulim, DEFAULT_TUNING.vlim) if limits is None else limits
     box = _finite(-ulim, -vlim, 2 * ulim, 2 * vlim)
+    if not (ulim > 0 and vlim > 0):
+        raise ValueError("cannot draw a view box from limits %r" % ((ulim, vlim),))
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9g %.9g %.9g %.9g">\n' % box
     yield (
@@ -143,18 +157,23 @@ def _svg_lines(records, limits):
 def write_curves(records, path, fmt="jsonl", limits=None):
     """Write ``CurveRecord`` tuples to ``path`` as JSONL (one record per
     line, fixed key order, 9 significant digits) or as an SVG picture.
-    A nan or inf in any record raises ``ValueError`` naming the first bad
-    record's six floats before any file is opened; SVG also refuses an
-    overflowing arrow tip and a non-finite view box.  The file is written
-    beside ``path`` and renamed onto it, so on any error ``path`` keeps
-    its old content and nothing else is left behind."""
+    Before any file is opened, ``ValueError`` names the first record
+    that JSONL cannot hold as it is: a nan or inf (by its six floats), a
+    curve_id that is not an int, or a kind or transform that is not a
+    string or needs an escape.  SVG also refuses an overflowing arrow and
+    a view box from non-finite or non-positive limits.  The file is
+    written beside ``path`` and renamed onto it, so on any error ``path``
+    keeps its old content and nothing else is left behind."""
     if fmt not in ("jsonl", "svg"):
         raise ValueError("unknown format %r" % (fmt,))
     if not isinstance(records, (list, tuple)):
         records = list(records)
-    if not all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))):
+    if not _all_valid(records):
         for rec in records:
             _finite(*_FLOATS(rec))
+            if not _all_valid((rec,)):
+                raise ValueError("cannot write %r: curve_id must be an int, kind and "
+                                 "transform plain strings" % (rec,))
     lines = map(_JSONL_LINE.__mod__, records) if fmt == "jsonl" else _svg_lines(records, limits)
     part = os.fspath(path) + ".part"
     try:
@@ -333,7 +352,7 @@ def _build_parser():
         "and verify their focal properties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("orbits", "transverses", "arrows", "future-past", "verify", "all"):
+    for name in (*PIPELINE_STEMS, "verify", "all"):
         p = sub.add_parser(name)
         # each command takes only the flags it reads; the rest keep these
         p.set_defaults(metric="all", subgroup="all", format="jsonl")
@@ -348,10 +367,7 @@ def _build_parser():
 
 def cli_main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "all":
-        pipelines = ("orbits", "transverses", "arrows", "future-past", "verify")
-    else:
-        pipelines = (args.command,)
+    pipelines = (*PIPELINE_STEMS, "verify") if args.command == "all" else (args.command,)
     config = JobConfig(
         kinds=_METRIC_FLAGS[args.metric],
         subs=_SUBGROUP_FLAGS[args.subgroup],

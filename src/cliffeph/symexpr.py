@@ -404,30 +404,22 @@ def _make_func(name, arg):
     return _FUNCS[name][0] if arg is ZERO else Func(name, arg)
 
 
-def sin(arg):
-    return _make_func("sin", arg)
+def _func(name):
+    """The public constructor of elementary function ``name``."""
+    def make(arg):
+        return _make_func(name, arg)
 
-
-def cos(arg):
-    return _make_func("cos", arg)
-
-
-def exp(arg):
-    return _make_func("exp", arg)
-
-
-def cosh(arg):
-    return _make_func("cosh", arg)
-
-
-def sinh(arg):
-    return _make_func("sinh", arg)
+    make.__name__ = make.__qualname__ = name
+    return make
 
 
 # Each elementary function once, as GiNaC registers it: its value at 0 and
-# its derivative; the compiled evaluator takes the names from here too.
-_FUNCS = {"sin": (ZERO, cos), "cos": (ONE, lambda u: mul(_MINUS_ONE, sin(u))),
-          "exp": (ONE, exp), "cosh": (ONE, sinh), "sinh": (ZERO, cosh)}
+# its derivative, which looks the constructors up only when called; the
+# compiled evaluator takes the names from here too.
+_FUNCS = {"sin": (ZERO, lambda u: cos(u)), "cos": (ONE, lambda u: mul(_MINUS_ONE, sin(u))),
+          "exp": (ONE, lambda u: exp(u)), "cosh": (ONE, lambda u: sinh(u)),
+          "sinh": (ZERO, lambda u: cosh(u))}
+sin, cos, exp, cosh, sinh = map(_func, ("sin", "cos", "exp", "cosh", "sinh"))
 
 
 def sqrt(arg):

@@ -240,6 +240,16 @@ class TestNormInverse:
         with pytest.raises(NegativeNormSquareError, match="norm square -1 is negative"):
             clifford_norm(e0)
 
+    def test_zero_norm_square_has_norm_zero(self):
+        e0, e1 = clifford_units(MetricSpec.diag(-1, 0))
+        assert clifford_norm(e1) is ZERO  # a null vector of the degenerate metric
+        assert clifford_norm(e0.scale(0)) is ZERO
+
+    def test_negative_fraction_norm_square_has_no_norm(self):
+        e0, _ = clifford_units(MetricSpec.diag(1, 1))
+        with pytest.raises(NegativeNormSquareError, match="norm square -1/4 is negative"):
+            clifford_norm(e0.scale(rational(1, 2)))
+
     def test_norm_of_a_positive_symbol_is_its_root(self):
         p = symbol("p", positive=True)
         e0, _ = clifford_units(MetricSpec.diag(-p, -1))

@@ -9,8 +9,9 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # dataclasses loads inspect, which loads ast, dis and tokenize; the
-# output needs none of them.
-HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# output needs none of them.  pickle carries a failed worker's error
+# only, so only a failed task imports it.
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pickle"}
 
 _ADDED = """
 import sys

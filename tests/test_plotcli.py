@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -61,7 +62,8 @@ class TestJsonl:
         assert os.listdir(tmp_path) == []
 
 
-_BAD_ORDERS = [(("nan", "none"), ValueError), (("none", "nan"), TypeError)]
+_BAD_ORDERS = [(("nan", "none"), ValueError), (("none", "nan"), TypeError),
+               (("quote", "none"), ValueError), (("none", "quote"), TypeError)]
 
 
 class TestWriteSafety:
@@ -109,7 +111,7 @@ class TestWriteSafety:
 
     @pytest.mark.parametrize("order,error", _BAD_ORDERS)
     def test_jsonl_first_bad_record_picks_the_error(self, tmp_path, order, error, fmt="jsonl"):
-        bad = {"nan": _rec(v=math.nan), "none": _rec(v=None)}
+        bad = {"nan": _rec(v=math.nan), "none": _rec(v=None), "quote": _rec(kind='"')}
         with pytest.raises(error):
             write_curves([_rec(), *(bad[name] for name in order)], tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
@@ -134,12 +136,46 @@ class TestWriteSafety:
 
     @pytest.mark.parametrize("recs,limits", [
         pytest.param([_rec(kind="arrow", u=1.7e308, du=1e308)], None, id="arrow-tip"),
+        # a finite tip whose shaft length overflows: the head had no direction
+        pytest.param([_rec(kind="arrow", u=0, v=0, du=1.7e308, dv=1.7e308)], None,
+                     id="arrow-head"),
         pytest.param([_rec(), _rec(u=0.7)], (math.inf, 25.0), id="view-box"),
+        *(pytest.param([_rec(), _rec(u=0.7)], limits, id="view-box-%g-%g" % limits)
+          for limits in ((-1, 25), (0, 25), (25, -1))),
     ])
     def test_svg_overflowing_tip_or_box_raises_and_leaves_no_file(self, tmp_path, recs, limits):
         with pytest.raises(ValueError):
             write_curves(recs, tmp_path / "a.svg", "svg", limits=limits)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
+    @pytest.mark.parametrize("field,bad", [
+        # "%d" wrote 1.5 as 1, merging two curves
+        pytest.param("curve_id", 1.5, id="id-float"),
+        pytest.param("curve_id", None, id="id-none"),
+        pytest.param("curve_id", "1", id="id-str"),
+        # "%s" does not escape, so json.loads rejected the line
+        pytest.param("kind", 'or"bit', id="kind-quote"),
+        pytest.param("transform", "dir\\ect", id="transform-backslash"),
+        pytest.param("kind", "or\nbit", id="kind-newline"),
+        pytest.param("transform", "\x00", id="transform-nul"),
+        pytest.param("kind", None, id="kind-none"),
+        pytest.param("kind", ["orbit"], id="kind-unhashable"),
+        pytest.param("transform", 0, id="transform-int"),
+    ])
+    def test_record_jsonl_cannot_hold_raises_naming_it(self, tmp_path, fmt, field, bad):
+        recs = [_rec(i=k // 2, u=k / 10) for k in range(6)]
+        recs[3] = recs[3]._replace(**{field: bad})
+        recs[4] = recs[4]._replace(u=math.nan, kind='"')
+        with pytest.raises(ValueError, match=re.escape(repr(recs[3]))):
+            write_curves(recs, tmp_path / ("a." + fmt), fmt)
+        assert os.listdir(tmp_path) == []
+
+    def test_plain_strings_write_lines_json_reads_back(self, tmp_path):
+        recs = [_rec(kind="orbit", transform="cayl-a \x7f '/'"), _rec(i=2 ** 70)]
+        path = tmp_path / "a.jsonl"
+        write_curves(recs, path, "jsonl")
+        assert [CurveRecord(**json.loads(line)) for line in path.read_text().splitlines()] == recs
 
     def test_unwritable_path_wraps_os_error(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):
@@ -223,6 +259,10 @@ class TestCli:
     def test_benchmark_command_lines_parse(self, argv):
         args = _build_parser().parse_args(argv)
         assert args.out == "d"
+
+    def test_subcommands_in_order(self):
+        action = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(action.choices) == ["orbits", "transverses", "arrows", "future-past", "verify", "all"]
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

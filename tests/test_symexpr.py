@@ -29,13 +29,16 @@ from cliffeph import (
     symbols,
     to_str,
 )
+from cliffeph import symexpr
 from cliffeph.symexpr import (
     ONE,
     ZERO,
     Add,
+    Func,
     Mul,
     Pow,
     Rational,
+    _FUNCS,
     _add_content,
     _as_fraction,
     _coeff,
@@ -124,6 +127,17 @@ class TestConstruction:
         assert exp(ZERO) == ONE
         assert sinh(ZERO) == ZERO
         assert cosh(ZERO) == ONE
+
+    @pytest.mark.parametrize("name", list(_FUNCS))
+    def test_public_function_is_its_funcs_entry(self, name):
+        # a public name bound to another entry builds, folds or differentiates wrongly
+        f = getattr(symexpr, name)
+        at_zero, derivative = _FUNCS[name]
+        assert f.__name__ == name
+        assert isinstance(f(x), Func) and f(x).name == name
+        assert f(ZERO) is at_zero
+        assert diff(f(x), x) is derivative(x)
+        assert diff(f(2 * x), x) == 2 * derivative(2 * x)
 
     def test_structural_equality_is_order_free(self):
         assert x + y == y + x
