@@ -6,6 +6,10 @@ are stored as maps from canonical blades (strictly increasing index
 tuples) to coefficient expressions; the empty blade is the algebra unit.
 Products reduce each generator word once per metric, in a cached blade
 table; vectors are read back from units on distinct generators.
+The public ``Multivector`` constructor checks every blade and coerces
+every coefficient; products, sums and scalings made here, whose blades
+are canonical and whose coefficients are expressions already, are built
+by ``_built``, which only drops ZERO coefficients.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class MetricSpec:
 
 
 def _check_same_metric(a, b):
-    if a.metric != b.metric:
+    if a.metric is not b.metric and a.metric != b.metric:
         raise MetricMismatchError("multivectors live over different metrics")
 
 
@@ -118,7 +122,7 @@ class Multivector:
         out = dict(self.terms)
         for blade, c in other.terms.items():
             out[blade] = sx.add(out.get(blade, ZERO), c)
-        return Multivector(self.metric, out)
+        return _built(self.metric, out)
 
     __radd__ = __add__
 
@@ -133,9 +137,7 @@ class Multivector:
 
     def scale(self, k):
         k = sx._coerce(k)
-        return Multivector(
-            self.metric, {b: sx.mul(k, c) for b, c in self.terms.items()}
-        )
+        return _built(self.metric, {b: sx.mul(k, c) for b, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -189,6 +191,15 @@ class Multivector:
         return " + ".join(parts)
 
 
+def _built(metric, terms):
+    """The Multivector of ``terms``, canonical blades to expressions,
+    without the constructor's checks; only ZERO coefficients are dropped."""
+    m = object.__new__(Multivector)
+    m.metric = metric
+    m.terms = {b: c for b, c in terms.items() if c is not ZERO}
+    return m
+
+
 def dirac_ONE(metric):
     return Multivector(metric, {(): ONE})
 
@@ -213,7 +224,7 @@ def _mv_mul(a, b):
             for blade, k in _blade_product(a.metric, ba + bb):
                 kc = c if k is ONE else sx.mul(k, c)
                 acc[blade] = sx.add(acc[blade], kc) if blade in acc else kc
-    return Multivector(a.metric, acc)
+    return _built(a.metric, acc)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,5 @@
 """Shared record type for sampled plot data."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -4,8 +4,6 @@ SL(2,R) acting by Moebius transformations, their Cayley-transform images,
 vector fields, curvature of K-orbits, curve sampling and the numeric
 verification of the focal properties of the K-orbits."""
 
-from __future__ import annotations
-
 import math
 from enum import IntEnum
 from fractions import Fraction

@@ -1,8 +1,6 @@
 """Curve persistence (JSONL and SVG), output file naming and the
 command-line driver for the geometry pipelines."""
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import io
@@ -77,8 +75,21 @@ _JSONL_LINE = (
 
 _ID, _TEXTS = itemgetter(0), itemgetter(1, 2)  # curve_id; kind and transform
 _FLOATS = itemgetter(slice(3, None))  # the six floats after curve_id, kind and transform
-# a plain string, which "%s" writes as JSON: no quote, backslash or control character
-_PLAIN = re.compile(r'[^"\\\x00-\x1f]*').fullmatch
+# text that "%s" writes as JSON: no quote, backslash or control character
+_UNESCAPED = re.compile(r'[^"\\\x00-\x1f]*').fullmatch
+
+
+def _plain(text):
+    """Whether ``text`` is a str that "%s" writes as JSON and UTF-8
+    encodes, which a lone surrogate does not.  The surrogate test is an
+    encode: compiling a regex range above U+00FF takes 130 KB."""
+    if not (isinstance(text, str) and _UNESCAPED(text)):
+        return False
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _all_valid(records):
@@ -90,7 +101,7 @@ def _all_valid(records):
     except TypeError:  # an unhashable one, which is no string
         return False
     return (all(map(isinstance, map(_ID, records), repeat(int)))
-            and all(isinstance(text, str) and _PLAIN(text) for text in chain.from_iterable(pairs))
+            and all(map(_plain, chain.from_iterable(pairs)))
             and all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))))
 
 
@@ -160,7 +171,8 @@ def write_curves(records, path, fmt="jsonl", limits=None):
     Before any file is opened, ``ValueError`` names the first record
     that JSONL cannot hold as it is: a nan or inf (by its six floats), a
     curve_id that is not an int, or a kind or transform that is not a
-    string or needs an escape.  SVG also refuses an overflowing arrow and
+    string, needs an escape or holds a lone surrogate, which UTF-8
+    cannot encode.  SVG also refuses an overflowing arrow and
     a view box from non-finite or non-positive limits.  The file is
     written beside ``path`` and renamed onto it, so on any error ``path``
     keeps its old content and nothing else is left behind."""

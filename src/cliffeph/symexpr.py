@@ -29,6 +29,10 @@ it.  :func:`add`, :func:`mul` and :func:`pow_` are memoized by their
 arguments, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
 :func:`clear_memo` empties those memos, not the table, after each
 symbolic build of the EPH geometry, a failed one too.
+
+The node classes are final: nothing subclasses ``Rational``, ``Symbol``,
+``Add``, ``Mul``, ``Pow`` or ``Func``, so the constructors dispatch on
+``type(x) is C``.
 """
 
 from __future__ import annotations
@@ -115,10 +119,23 @@ class Expr:
         return to_str(self)
 
 
+# The Rational of each int in [-_SMALL_INT, _SMALL_INT] built so far, so
+# that such an int skips its ratio and key tuple; bounded by that range.
+_SMALL_INT = 256
+_SMALL_INTS = {}
+
+
 class Rational(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
+        if type(value) is int:  # not a bool or another int subclass
+            node = _SMALL_INTS.get(value)
+            if node is None:
+                node = Expr.__new__(cls, (value, 1))
+                if -_SMALL_INT <= value <= _SMALL_INT:
+                    _SMALL_INTS[value] = node
+            return node
         value = value if isinstance(value, (int, Fraction)) else Fraction(value)
         return Expr.__new__(cls, value.as_integer_ratio())
 
@@ -230,23 +247,28 @@ def add(*terms):
     ``c*mono`` of distinct monomials in ``_key`` order (module docstring)."""
     const = 0
     bucket = {}
-    for arg in map(_coerce, terms):
-        for t in arg.terms if isinstance(arg, Add) else (arg,):
-            if isinstance(t, Rational):
+    for arg in terms:
+        if not isinstance(arg, Expr):
+            arg = _coerce(arg)
+        for t in arg.terms if type(arg) is Add else (arg,):
+            cls = type(t)
+            if cls is Rational:
                 const += t.value
                 continue
-            coeff = _coeff(t)
-            if coeff != 1:
+            if cls is Mul and type(t.factors[0]) is Rational:  # c*mono, c never 1
+                coeff = t.factors[0].value
                 rest = t.factors[1:]
                 t = rest[0] if len(rest) == 1 else Mul(rest)
+            else:
+                coeff = 1
             bucket[t] = bucket[t] + coeff if t in bucket else coeff
     out = []
-    for mono in sorted(bucket, key=_term_order):
+    for mono in sorted(bucket, key=_term_order) if len(bucket) > 1 else bucket:
         coeff = bucket[mono]
         if coeff == 1:
             out.append(mono)
         elif coeff:
-            out.append(Mul((Rational(coeff), *(mono.factors if isinstance(mono, Mul) else (mono,)))))
+            out.append(Mul((Rational(coeff), *(mono.factors if type(mono) is Mul else (mono,)))))
     if const or not out:
         out.insert(0, Rational(const))
     return out[0] if len(out) == 1 else Add(tuple(out))
@@ -320,27 +342,29 @@ def pow_(base, exp):
     """base ** exp for a rational exponent.
 
     A power of a power folds as GiNaC's ``power::eval`` does:
-    ``(b**c1)**c2`` is ``b**(c1*c2)`` when c2 is an integer or
-    -1 < c1 <= 1, where the fold holds on the principal branch; so
-    ``sqrt(sqrt(x))`` is ``x**(1/4)``, while ``(x**2)**(1/2)``, which is
-    |x| for real x, stays nested."""
+    ``(b**c1)**c2`` is ``b**(c1*c2)`` when c2 is an integer,
+    -1 < c1 <= 1 or b is positive (:func:`is_positive`), where the fold
+    holds on the principal branch; so ``sqrt(sqrt(x))`` is ``x**(1/4)``
+    and ``sqrt(p**2)`` is ``p`` for a positive ``p``, while
+    ``(x**2)**(1/2)``, which is |x| for real x, stays nested."""
     base = _coerce(base)
     exp = _coerce_exponent(exp)
     if exp == 0:
         return ONE
     if exp == 1:
         return base
-    if isinstance(base, Rational):
+    cls = type(base)
+    if cls is Rational:
         return _rational_pow(base.value, exp)
-    if isinstance(base, Pow):
-        if exp.denominator == 1 or -1 < base.exponent <= 1:
+    if cls is Pow:
+        if exp.denominator == 1 or -1 < base.exponent <= 1 or is_positive(base.base):
             return pow_(base.base, base.exponent * exp)
         return Pow(base, exp)
-    if isinstance(base, Mul):
+    if cls is Mul:
         if exp.denominator == 1:
             return mul(*(pow_(f, exp) for f in base.factors))
         return Pow(base, exp)
-    if isinstance(base, Add) and exp.denominator == 1:
+    if cls is Add and exp.denominator == 1:
         scale, reduced = _add_content(base)
         if scale != 1:
             return mul(_rational_pow(scale, exp), Pow(reduced, exp))
@@ -353,16 +377,17 @@ def mul(*factors):
     ``_key`` order, each base once; a sum of exponent 1 is multiplied out."""
     coeff = 1
     powers = {}
-    pending = [_coerce(f) for f in factors]
+    pending = [f if isinstance(f, Expr) else _coerce(f) for f in factors]
     while pending:
         f = pending.pop()
-        if isinstance(f, Rational):
+        cls = type(f)
+        if cls is Rational:
             if f is ZERO:
                 return f
             coeff *= f.value
-        elif isinstance(f, Mul):
+        elif cls is Mul:
             pending.extend(f.factors)
-        elif isinstance(f, Pow):
+        elif cls is Pow:
             powers[f.base] = powers.get(f.base, 0) + f.exponent
         else:
             powers[f] = powers.get(f, 0) + 1
@@ -370,14 +395,20 @@ def mul(*factors):
     atoms = []
     adds = []
     requeue = []
-    for base in sorted(powers, key=_term_order):
-        p = pow_(base, powers[base])
-        if isinstance(p, Rational):
+    for base in sorted(powers, key=_term_order) if len(powers) > 1 else powers:
+        x = powers[base]
+        cls = type(base)
+        if x == 1 and (cls is Symbol or cls is Func):  # pow_ would return base
+            atoms.append(base)
+            continue
+        p = pow_(base, x)
+        cls = type(p)
+        if cls is Rational:
             coeff *= p.value
-        elif isinstance(p, Add):
+        elif cls is Add:
             adds.append(p)
         # kept only on its own base: one that reduced to another may merge with it
-        elif (powers[base] == 1 and isinstance(p, (Symbol, Func))) or (isinstance(p, Pow) and p.base is base):
+        elif cls is Pow and p.base is base:
             atoms.append(p)
         else:
             requeue.append(p)

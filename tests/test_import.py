@@ -31,3 +31,20 @@ def test_cold_import_loads_no_dataclasses():
     added = set(proc.stdout.split())
     assert "cliffeph.plotcli" in added
     assert added & HEAVY == set()
+
+
+_FORWARD_REFS = """
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+import cliffeph, typing
+print(sum(type(o) is typing.ForwardRef for o in gc.get_objects()))
+"""
+
+
+def test_cold_import_compiles_no_forward_ref():
+    # under "from __future__ import annotations" typing.NamedTuple compiles
+    # one ForwardRef per string annotation of each of its classes
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _FORWARD_REFS, SRC],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

@@ -162,6 +162,10 @@ class TestWriteSafety:
         pytest.param("kind", None, id="kind-none"),
         pytest.param("kind", ["orbit"], id="kind-unhashable"),
         pytest.param("transform", 0, id="transform-int"),
+        # JSONL failed inside the write with an unnamed UnicodeEncodeError,
+        # while SVG, which never prints kind, wrote the file
+        pytest.param("kind", "or\udcffbit", id="kind-surrogate"),
+        pytest.param("transform", "\ud800", id="transform-surrogate"),
     ])
     def test_record_jsonl_cannot_hold_raises_naming_it(self, tmp_path, fmt, field, bad):
         recs = [_rec(i=k // 2, u=k / 10) for k in range(6)]

@@ -2,7 +2,10 @@ import functools
 import itertools
 import math
 import operator
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,6 +168,19 @@ class TestConstruction:
         # outside the rule the nesting stays: sqrt(x**2) is |x|, not x
         assert pow_(x ** 2, Fraction(1, 2)) == Pow(x ** 2, Fraction(1, 2))
         assert pow_(x ** -1, Fraction(1, 2)) == Pow(x ** -1, Fraction(1, 2))
+
+    def test_power_of_a_power_of_a_positive_base_folds(self):
+        # GiNaC folds (b**c1)**c2 for any c1 once b is positive
+        p = symbol("p", positive=True)
+        assert pow_(p ** 2, Fraction(1, 2)) is p
+        assert pow_(p ** -2, Fraction(1, 4)) is pow_(p, Fraction(-1, 2))
+        assert pow_((p + 1) ** 2, Fraction(1, 2)) is p + 1
+
+    def test_small_int_rationals_are_the_cached_nodes(self):
+        assert Rational(3) is Rational(3.0) is Rational(Fraction(6, 2))
+        assert Rational(True) is ONE and Rational(False) is ZERO
+        assert Rational(-7) is rational(-14, 2) and Rational(2 ** 300) is Rational(2.0 ** 300)
+        assert type(Rational(True).value) is int
 
     def test_zero_base_powers(self):
         for negative in (-1, Fraction(-1, 2)):
@@ -764,3 +780,26 @@ def test_postorder_lists_each_distinct_node_once_children_first():
     left, right = mul(x, s), mul(y, s)
     assert e.terms == (left, right)
     assert _postorder(e) == [x, ONE, inner, s, left, y, right, e]
+
+
+_NODE_TABLE_AFTER_ALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from cliffeph import plotcli, symexpr
+plotcli._usable_cpus = lambda: 1  # one process, so this one builds every node
+status = plotcli.cli_main(["all", "--format", "jsonl", "--out", sys.argv[2]])
+print(status, len(symexpr._NODES),
+      *(f.cache_info().currsize for f in (symexpr.add, symexpr.mul, symexpr.pow_)))
+"""
+
+
+def test_one_process_cliffeph_all_leaves_the_documented_node_table(tmp_path):
+    # A constructor fast path that built extra or different nodes would
+    # change the count that the module docstring gives, and a memo left
+    # full would hold its arguments alive after the build.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symexpr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NODE_TABLE_AFTER_ALL, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "2,821 nodes" in symexpr.__doc__
+    assert proc.stdout.splitlines()[-1].split() == ["0", "2821", "0", "0", "0"]
