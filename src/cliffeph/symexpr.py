@@ -119,23 +119,12 @@ class Expr:
         return to_str(self)
 
 
-# The Rational of each int in [-_SMALL_INT, _SMALL_INT] built so far, so
-# that such an int skips its ratio and key tuple; bounded by that range.
-_SMALL_INT = 256
-_SMALL_INTS = {}
-
-
 class Rational(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        if type(value) is int:  # not a bool or another int subclass
-            node = _SMALL_INTS.get(value)
-            if node is None:
-                node = Expr.__new__(cls, (value, 1))
-                if -_SMALL_INT <= value <= _SMALL_INT:
-                    _SMALL_INTS[value] = node
-            return node
+        if type(value) is int:  # not a bool: its ratio is already known
+            return Expr.__new__(cls, (value, 1))
         value = value if isinstance(value, (int, Fraction)) else Fraction(value)
         return Expr.__new__(cls, value.as_integer_ratio())
 

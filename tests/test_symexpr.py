@@ -176,7 +176,7 @@ class TestConstruction:
         assert pow_(p ** -2, Fraction(1, 4)) is pow_(p, Fraction(-1, 2))
         assert pow_((p + 1) ** 2, Fraction(1, 2)) is p + 1
 
-    def test_small_int_rationals_are_the_cached_nodes(self):
+    def test_equal_rationals_are_one_node(self):
         assert Rational(3) is Rational(3.0) is Rational(Fraction(6, 2))
         assert Rational(True) is ONE and Rational(False) is ZERO
         assert Rational(-7) is rational(-14, 2) and Rational(2 ** 300) is Rational(2.0 ** 300)
