@@ -12,8 +12,6 @@ are canonical and whose coefficients are expressions already, are built
 by ``_built``, which only drops ZERO coefficients.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from . import symexpr as sx

@@ -1,8 +1,6 @@
 """2x2 matrices with Clifford-number entries and the fractional-linear
 action v -> (a v + b)(c v + d)^-1 on vectors."""
 
-from __future__ import annotations
-
 from .cliffalg import (
     MetricMismatchError,
     MetricSpec,

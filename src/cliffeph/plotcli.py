@@ -207,9 +207,7 @@ def write_curves(records, path, fmt="jsonl", limits=None):
 def run_pipeline(name, job, config):
     """Sample one job of pipeline ``name``, a (metric, subgroup) pair or ()
     for future-past, and write its files, yielding each path as soon as
-    its file is written.  ``cli_main`` prints the paths in the command's
-    task order once the tasks have run and any worker processes have
-    joined."""
+    its file is written."""
     sampler, stems = PIPELINE_STEMS[name]
     limits = (FUTURE_PAST_LIMIT, FUTURE_PAST_LIMIT) if name == "future-past" else None
     result = globals()[sampler](*job)
@@ -267,31 +265,37 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _run_task(name, job, config, out):
+    """Run one (pipeline, job) task, writing its stdout text to ``out`` as
+    it goes; returns its exit status."""
+    if name == "verify":
+        return 0 if run_verify(config, out) else 1
+    for path in run_pipeline(name, job, config):
+        out.write(path + "\n")
+    return 0
+
+
 def _run_stripe(tasks, config):
-    """Run (pipeline, job) tasks in order, up to the first that fails;
-    returns each one's stdout text, exit status and the exception that
-    stopped it or None, for the caller to raise once the text before it is
-    printed."""
-    results = []
+    """The stdout text of each of ``tasks`` that finished cleanly, in
+    order, up to the first that raises or exits non-zero.  The error is
+    dropped: ``_run_tasks`` runs that task again in the parent, in print
+    order, where it raises."""
+    texts = []
     for name, job in tasks:
-        out, status, err = io.StringIO(), 0, None
+        out = io.StringIO()
         try:
-            if name != "verify":
-                out.writelines(path + "\n" for path in run_pipeline(name, job, config))
-            elif not run_verify(config, out):
-                status = 1
-        except BaseException as exc:
-            err = exc
-        results.append((out.getvalue(), status, err))
-        if status or err is not None:
+            if _run_task(name, job, config, out):
+                break
+        except Exception:
             break
-    return results
+        texts.append(out.getvalue())
+    return texts
 
 
 def _fork_stripe(tasks, config):
     """Fork a worker that runs ``_run_stripe(tasks, config)`` and sends its
-    results down a pipe, marshalled, the error pickled.  Returns (pid,
-    pipe); if the fork fails, pid is None and the pipe is empty."""
+    texts down a pipe, marshalled.  Returns (pid, pipe); if the fork
+    fails, pid is None and the pipe is empty."""
     sys.stdout.flush()
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
@@ -301,36 +305,20 @@ def _fork_stripe(tasks, config):
         pid = None
     if pid == 0:
         try:
-            *done, (text, status, err) = _run_stripe(tasks, config)
-            if err is not None:
-                import pickle  # only a failed task pays for the import
-
-                err = pickle.dumps(err)
             with open(write_fd, "wb") as pipe:
-                marshal.dump(done + [(text, status, err)], pipe)
+                marshal.dump(_run_stripe(tasks, config), pipe)
         finally:
             os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
 
-def _decoded(data):
-    """The results a worker sent, or [] if it sent none whole."""
-    try:
-        *done, (text, status, err) = marshal.loads(data)
-    except (EOFError, ValueError):
-        return []
-    if err is not None:
-        import pickle
-
-        err = pickle.loads(err)
-    return done + [(text, status, err)]
-
-
-def _run_tasks(tasks, config, workers):
-    """Yield each task's (text, status, error) in task order.  Task i runs
-    in worker i % workers, worker 0 being this process, which also runs
-    each task that its worker did not report."""
+def _run_tasks(tasks, config, workers, out):
+    """Write the stdout text of the (pipeline, job) tasks to ``out`` in
+    task order; returns the exit status.  Task i runs in worker
+    i % workers, worker 0 being this process.  Each task that its worker
+    did not report, because it raised, exited non-zero, died or never
+    forked, runs again here, where it raises or returns its status."""
     if workers > 1:  # built once here, so that no worker repeats the symbolic build
         for kind in config.kinds:
             if any(name != "arrows" for name, _ in tasks):  # arrows read only the fields
@@ -347,10 +335,18 @@ def _run_tasks(tasks, config, workers):
                 sent.append(pipe.read())
             if pid:
                 os.waitpid(pid, 0)
-    stripes += map(_decoded, sent)
-    for i, task in enumerate(tasks):
+    for data in sent:
+        try:
+            stripes.append(marshal.loads(data))
+        except (EOFError, ValueError):  # the worker sent no whole list
+            stripes.append([])
+    for i, (name, job) in enumerate(tasks):
         stripe = stripes[i % workers]
-        yield stripe[i // workers] if i // workers < len(stripe) else _run_stripe([task], config)[0]
+        if i // workers < len(stripe):
+            out.write(stripe[i // workers])
+        elif status := _run_task(name, job, config, out):
+            return status
+    return 0
 
 
 _METRIC_FLAGS, _SUBGROUP_FLAGS = (
@@ -400,14 +396,8 @@ def cli_main(argv=None):
     # one worker per CPU, but no more than the command has metrics: a
     # single-metric command runs in this process alone
     workers = min(_usable_cpus(), len(config.kinds), len(tasks)) if hasattr(os, "fork") else 1
-    status = 0
     try:
-        for text, status, err in _run_tasks(tasks, config, workers):
-            sys.stdout.write(text)
-            if err is not None:
-                raise err
-            if status:
-                break
+        status = _run_tasks(tasks, config, workers, sys.stdout)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except BrokenPipeError as err:
         # As the SIGPIPE note in the Python docs does: point stdout at devnull,

@@ -35,8 +35,6 @@ The node classes are final: nothing subclasses ``Rational``, ``Symbol``,
 ``type(x) is C``.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

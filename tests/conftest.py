@@ -5,12 +5,15 @@ Clifford product as the oracle for its per-metric blade table, reference
 walkers for the term-order key, the derivative, the substitution and the
 float value of an expression, the reference content of a sum, and the
 operator-conjugated Moebius families that the vector fields are the
-t-derivatives of, and one shared run of ``cliffeph all --format jsonl``."""
+t-derivatives of, the 50-digit value of a stream, and one shared run of
+``cliffeph all --format jsonl``."""
 
 import contextlib
+import decimal
 import io
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -356,6 +359,90 @@ def reference_evalf(e, env):
         return math.copysign(math.inf, x) if e.name == "sinh" else math.inf
     except ValueError:
         return math.nan
+
+
+# The "Recipes" of the decimal module's documentation, each at two digits
+# more than the context and rounded back to it.
+def _decimal_exp(x):
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num = 0, 0, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 1
+        fact *= i
+        num *= x
+        s += num / fact
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_cos(x):
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_sin(x):
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+_DECIMAL_FUNCS = {
+    "exp": _decimal_exp, "cos": _decimal_cos, "sin": _decimal_sin,
+    "cosh": lambda x: (_decimal_exp(x) + _decimal_exp(-x)) / 2,
+    "sinh": lambda x: (_decimal_exp(x) - _decimal_exp(-x)) / 2,
+}
+
+
+def reference_decimal(exprs, args, points):
+    """The values of ``exprs`` to 50 significant digits at each of
+    ``points``, tuples of floats bound to the symbols named by ``args`` and
+    converted exactly by ``Decimal(x)``: one tuple of Decimals per point.
+    Each distinct node (``symexpr._postorder``) is evaluated once per
+    point, and a function once per distinct argument; a singular point
+    raises the ``decimal`` signal, such as ``DivisionByZero``."""
+    nodes = symexpr._postorder(*exprs)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        consts = {x: Decimal(x.value.numerator) / x.value.denominator
+                  for x in nodes if isinstance(x, Rational)}
+        calls, results = {}, []
+        for point in points:
+            val = dict(consts)
+            for x in nodes:
+                if isinstance(x, Symbol):
+                    val[x] = Decimal(point[args.index(x.name)])
+                elif isinstance(x, Add):
+                    val[x] = sum(map(val.__getitem__, x.terms))
+                elif isinstance(x, Mul):
+                    val[x] = math.prod(map(val.__getitem__, x.factors))
+                elif isinstance(x, Pow):
+                    q = x.exponent
+                    val[x] = val[x.base] ** (q.numerator if q.denominator == 1
+                                             else Decimal(q.numerator) / q.denominator)
+                elif isinstance(x, Func):
+                    key = x.name, val[x.arg]
+                    if key not in calls:
+                        calls[key] = _DECIMAL_FUNCS[x.name](val[x.arg])
+                    val[x] = calls[key]
+            results.append(tuple(val[e] for e in exprs))
+    return results
 
 
 @lru_cache(maxsize=None)

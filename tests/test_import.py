@@ -9,8 +9,9 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # dataclasses loads inspect, which loads ast, dis and tokenize; the
-# output needs none of them.  pickle carries a failed worker's error
-# only, so only a failed task imports it.
+# output needs none of them.  A worker sends its output as marshalled
+# text, and a task that failed in it runs again in the parent, so no
+# error crosses a process boundary and nothing needs pickle.
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pickle"}
 
 _ADDED = """
@@ -48,3 +49,24 @@ def test_cold_import_compiles_no_forward_ref():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+_FAILED_RUN = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from cliffeph import plotcli
+plotcli._usable_cpus = lambda: 3
+os.mkdir(os.path.join(sys.argv[2], "arrows-N-e.jsonl"))
+status = plotcli.cli_main(["arrows", "--metric", "all", "--out", sys.argv[2]])
+print(status, " ".join(sorted(set(sys.modules) & set(sys.argv[3:]))))
+"""
+
+
+def test_failed_multi_worker_run_loads_no_pickle(tmp_path):
+    # task N-e runs in worker 1 of 3, where its write fails
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _FAILED_RUN, SRC,
+                           str(tmp_path), *HEAVY], capture_output=True, text=True, timeout=60)
+    *paths, last = proc.stdout.splitlines()
+    assert paths == [os.path.join(tmp_path, "arrows-A-e.jsonl")]
+    assert last.split() == ["2"]
+    assert proc.stderr.startswith("cliffeph: error: cannot write ")

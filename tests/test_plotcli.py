@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import sys
 import xml.dom.minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffeph
 from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, plotcli, write_curves
@@ -205,6 +209,23 @@ class TestSvg:
         assert len(doc.getElementsByTagName("polygon")) == 2
 
 
+# command-line tokens: the real flag vocabulary, and junk as an OS hands it
+# over, bytes with no NUL decoded by fsdecode.  No "/" in junk, so that an
+# --out it names stays within one level of the run's working directory.
+_COMMANDS = (*plotcli.PIPELINE_STEMS, "verify", "all")
+_JUNK = st.binary(max_size=4).filter(lambda b: b"\0" not in b and b"/" not in b).map(os.fsdecode)
+_OUT = st.one_of(st.sampled_from(("d", "d/e", "f", "f/g", "", ".", "..")), _JUNK)
+_TOKEN = st.one_of(st.sampled_from((*_COMMANDS, "--metric", "--subgroup", "--out", "--format",
+                                    "-h", "--metric=all", "--out=d", "e", "all", "K", "svg")),
+                   _JUNK)
+# a flag with a value it takes, or one or two tokens of any kind
+_PAIR = st.one_of(st.tuples(st.just("--metric"), st.sampled_from(("e", "p", "h", "all"))),
+                  st.tuples(st.just("--subgroup"), st.sampled_from(("A", "N", "K", "all"))),
+                  st.tuples(st.just("--format"), st.sampled_from(("jsonl", "svg"))),
+                  st.tuples(st.just("--out"), _OUT),
+                  st.tuples(_TOKEN), st.tuples(_TOKEN, _TOKEN))
+
+
 class TestCli:
     def test_orbits_all_emits_27_files(self, tmp_path, capsys):
         code = cli_main(["orbits", "--metric", "all", "--subgroup", "all",
@@ -349,6 +370,53 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    @settings(max_examples=150, deadline=2000)
+    @given(command=st.sampled_from(_COMMANDS), out=_OUT, pairs=st.lists(_PAIR, max_size=3),
+           verify_ok=st.booleans())
+    def test_any_argv_exits_0_1_or_2_and_makes_out_only_for_files(
+            self, tmp_path_factory, command, out, pairs, verify_ok):
+        # with run_pipeline and run_verify stubbed, nothing is sampled
+        argv = [command, "--out", out, *itertools.chain.from_iterable(pairs)]
+        base = tmp_path_factory.mktemp("argv")  # what --out .. names
+        cwd = base / "cwd"
+        cwd.mkdir()
+        (cwd / "f").write_text("a file")
+
+        def run_pipeline(name, job, config):
+            path = os.path.join(config.out_dir, "%s.%s" % (name, config.fmt))
+            write_curves([], path, config.fmt)
+            yield path
+
+        def run_verify(config, report):
+            report.write("report\n")
+            return verify_ok
+
+        output = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(output), \
+                contextlib.redirect_stderr(output):
+            mp.chdir(cwd)
+            mp.setattr(plotcli, "_usable_cpus", lambda: 1)
+            mp.setattr(plotcli, "run_pipeline", run_pipeline)
+            mp.setattr(plotcli, "run_verify", run_verify)
+            try:
+                args = _build_parser().parse_args(argv)
+            except SystemExit:
+                args = None
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in output.getvalue()
+        assert not list(base.rglob("*.part"))
+        made = {p.resolve() for p in base.rglob("*") if p.is_dir()} - {cwd.resolve()}
+        if args is None or args.command == "verify":
+            assert not made
+        else:
+            target = (cwd / args.out).resolve()
+            assert all(target == d or target.is_relative_to(d) for d in made)
+            assert target.is_dir() or code == 2
+
     def test_arrows_file_has_grid(self, tmp_path):
         code = cli_main(["arrows", "--metric", "p", "--subgroup", "N",
                          "--out", str(tmp_path)])
@@ -385,16 +453,24 @@ class TestWorkers:
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
     # with three workers, task i runs in worker i % 3; worker 0 is the parent
-    @pytest.mark.parametrize("blocked", ["N-p", "K-e", "A-p"])
-    def test_failed_write_in_a_worker_exits_2(self, tmp_path, monkeypatch, capsys, blocked):
+    @pytest.mark.parametrize("command, blocked", [
+        pytest.param("arrows", "arrows-N-p", id="N-p"),
+        pytest.param("arrows", "arrows-K-e", id="K-e"),
+        pytest.param("arrows", "arrows-A-p", id="A-p"),
+        # task N-p runs in worker 1, and writes its orbit file before this one
+        pytest.param("orbits", "cayley-N-p", id="orbits-cayley-N-p"),
+    ])
+    def test_failed_write_in_a_worker_exits_2(self, tmp_path, monkeypatch, capsys, command, blocked):
         monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 3)
-        (tmp_path / ("arrows-%s.jsonl" % blocked)).mkdir()
-        assert cli_main(["arrows", "--metric", "all", "--out", str(tmp_path)]) == 2
+        (tmp_path / (blocked + ".jsonl")).mkdir()
+        assert cli_main([command, "--metric", "all", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cliffeph: error: cannot write ")
-        before = self.ARROWS[:self.ARROWS.index(blocked)]
-        assert captured.out.splitlines() == [str(tmp_path / ("arrows-%s.jsonl" % t)) for t in before]
+        names = ["%s-%s" % (stem, task) for task in self.ARROWS
+                 for stem in plotcli.PIPELINE_STEMS[command][1].values()]
+        before = names[:names.index(blocked)]
+        assert captured.out.splitlines() == [str(tmp_path / (name + ".jsonl")) for name in before]
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
         assert _no_children()
 
@@ -413,21 +489,64 @@ class TestWorkers:
                               for line in report)
         assert _no_children()
 
+    def _arrows(self, out, monkeypatch, capsys, cpus):
+        """(exit status, stdout, {file name: bytes}) of ``arrows --metric
+        all`` on ``cpus`` usable CPUs, ``out`` written as OUT in stdout."""
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: cpus)
+        status = cli_main(["arrows", "--metric", "all", "--out", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        return status, stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+
     @pytest.mark.parametrize("error", [ZeroDivisionError, cliffeph.FreeSymbolError])
-    def test_worker_error_is_raised_with_its_type_and_message(self, tmp_path, monkeypatch, error):
+    def test_worker_error_is_raised_with_its_type_and_message(
+            self, tmp_path, monkeypatch, capsys, error):
+        # task 5 runs in worker 1 of 2, and again here, where it raises too
         monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 2)
+        sample_arrows = plotcli.sample_arrows
+
+        def sample_arrows_but_p_k(kind, sub):
+            if (kind, sub) == (MetricKind.PARABOLIC, Subgroup.K):
+                raise error("no arrows for K-p")
+            return sample_arrows(kind, sub)
+
+        monkeypatch.setattr(plotcli, "sample_arrows", sample_arrows_but_p_k)
+        with pytest.raises(error) as excinfo:
+            cli_main(["arrows", "--metric", "all", "--out", str(tmp_path)])
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == "no arrows for K-p"
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / ("arrows-%s.jsonl" % t)) for t in self.ARROWS[:5]]
+        assert _no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_worker_only_error_runs_again_here_as_one_process_does(
+            self, tmp_path, monkeypatch, capsys, cpus):
+        one = self._arrows(tmp_path / "one", monkeypatch, capsys, 1)
         parent, sample_arrows = os.getpid(), plotcli.sample_arrows
 
         def sample_arrows_in_parent(kind, sub):
             if os.getpid() != parent:
-                raise error("no arrows in a worker")
+                raise ZeroDivisionError("no arrows in a worker")
             return sample_arrows(kind, sub)
 
         monkeypatch.setattr(plotcli, "sample_arrows", sample_arrows_in_parent)
-        with pytest.raises(error) as excinfo:
-            cli_main(["arrows", "--metric", "all", "--out", str(tmp_path)])
-        assert type(excinfo.value) is error
-        assert str(excinfo.value) == "no arrows in a worker"
+        assert self._arrows(tmp_path / "many", monkeypatch, capsys, cpus) == one
+        assert one[0] == 0 and len(one[2]) == 9
+        assert _no_children()
+
+    def test_worker_that_dies_mid_stripe_leaves_its_tasks_to_this_process(
+            self, tmp_path, monkeypatch, capsys):
+        # worker 1 of 3 runs N-e, N-p and N-h, and dies in its second task
+        one = self._arrows(tmp_path / "one", monkeypatch, capsys, 1)
+        parent, sample_arrows = os.getpid(), plotcli.sample_arrows
+
+        def sample_arrows_or_die(kind, sub):
+            if os.getpid() != parent and (kind, sub) == (MetricKind.PARABOLIC, Subgroup.N):
+                os._exit(0)
+            return sample_arrows(kind, sub)
+
+        monkeypatch.setattr(plotcli, "sample_arrows", sample_arrows_or_die)
+        assert self._arrows(tmp_path / "many", monkeypatch, capsys, 3) == one
         assert _no_children()
 
     def test_failed_fork_runs_the_stripe_here(self, tmp_path, monkeypatch, capsys):
