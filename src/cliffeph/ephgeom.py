@@ -336,17 +336,6 @@ def _transverse_direction(u, v, tu, tv):
     return tu / r, tv / r
 
 
-def _sample_streams(kind, kind_name, curves, stream, pen):
-    """Run the sampling loop over the direct family and both Cayley-point
-    images, ``stream(t)`` giving each one's (fn, direction); returns
-    {transform type: records}."""
-    return {
-        t: _sample(kind_name, t.label, *stream(t), curves,
-                   _accept(kind, t != TransformType.DIRECT), pen)
-        for t in TransformType
-    }
-
-
 def sample_orbits(kind, sub):
     """Orbit polylines plus both Cayley-point images, keyed by stream 0..2:
     one curve per orbit origin, sweeping the family parameter."""
@@ -360,11 +349,11 @@ def sample_orbits(kind, sub):
     ]
 
     fams, fields = build_families(kind), vector_fields(kind)
-
-    def stream(t):
-        return fams[(sub, t)].fn(), fields[(sub, t)].fn()
-
-    return _sample_streams(kind, "orbit", curves, stream, 1.5)
+    return {
+        t: _sample("orbit", t.label, fams[(sub, t)].fn(), fields[(sub, t)].fn(), curves,
+                   _accept(kind, t != TransformType.DIRECT), 1.5)
+        for t in TransformType
+    }
 
 
 def _transverse(fam, sub):
@@ -389,13 +378,14 @@ def sample_transverses(kind, sub):
     ]
 
     fams = build_families(kind)
-
-    def stream(t):
-        fam = fams[(sub, t)]
-        return compile_ex((fam.u, fam.v, *_transverse(fam, sub)), (X, Y, T)), _transverse_direction
-
+    out = {}
     try:
-        return _sample_streams(kind, "transverse", curves, stream, 0.5)
+        for t in TransformType:
+            fam = fams[(sub, t)]
+            fn = compile_ex((fam.u, fam.v, *_transverse(fam, sub)), (X, Y, T))
+            out[t] = _sample("transverse", t.label, fn, _transverse_direction, curves,
+                             _accept(kind, t != TransformType.DIRECT), 0.5)
+        return out
     finally:
         sx.clear_memo()
 

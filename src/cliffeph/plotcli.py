@@ -60,8 +60,14 @@ class JobConfig(NamedTuple):
 
 
 def _finite(*xs):
-    """The numbers ``xs``, once each is checked to be finite."""
-    if not all(map(math.isfinite, xs)):
+    """The numbers ``xs``, once each is checked to be finite as a float."""
+    try:
+        finite = all(map(math.isfinite, xs))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    except TypeError:
+        raise TypeError("cannot write non-number in %r" % (xs,)) from None
+    if not finite:
         raise ValueError("cannot write non-finite number in %r" % (xs,))
     return xs
 
@@ -94,15 +100,14 @@ def _plain(text):
 
 def _all_valid(records):
     """Whether every record has an int curve_id, a plain kind and
-    transform and finite floats, checked a field at a time; a non-number
-    in a float field raises ``TypeError``."""
+    transform and finite floats, checked a field at a time."""
     try:
         pairs = set(map(_TEXTS, records))  # few distinct kinds and transforms
-    except TypeError:  # an unhashable one, which is no string
+        finite = all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records))))
+    except (TypeError, OverflowError):  # an unhashable text, a non-number or a huge int
         return False
-    return (all(map(isinstance, map(_ID, records), repeat(int)))
-            and all(map(_plain, chain.from_iterable(pairs)))
-            and all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records)))))
+    return (finite and all(map(isinstance, map(_ID, records), repeat(int)))
+            and all(map(_plain, chain.from_iterable(pairs))))
 
 
 def _gray(grade):
@@ -119,22 +124,24 @@ def _svg_arrow(rec):
     r = math.hypot(du, dv)
     if r == 0:
         return
-    # finite inputs can overflow the tip, or the length that aims the head
-    tip_u, tip_v, _ = _finite(rec.u + _ARROW_SCALE * du, rec.v + _ARROW_SCALE * dv, r)
-    gray = _gray(rec.color_grade)
-    yield (
-        '<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g" stroke="%s" stroke-width="%.9g"/>\n'
-        % (rec.u, rec.v, tip_u, tip_v, gray, 0.02 * rec.pen_width_hint)
-    )
+    tip_u, tip_v = rec.u + _ARROW_SCALE * du, rec.v + _ARROW_SCALE * dv
     # triangle head: tip plus two base corners set back along the shaft
     ux, uy = du / r, dv / r
     bx = tip_u - _HEAD_SCALE * ux
     by = tip_v - _HEAD_SCALE * uy
     px, py = -uy * _HEAD_SCALE / 2, ux * _HEAD_SCALE / 2
+    corners = ["%.9g,%.9g" % c for c in ((tip_u, tip_v), (bx + px, by + py), (bx - px, by - py))]
+    # finite inputs can overflow the tip, or the length that aims the head;
+    # far out, 9 digits can write the head's corners as one point
+    if not all(map(math.isfinite, (tip_u, tip_v, r))) or len(set(corners)) < 3:
+        raise ValueError("cannot draw %r: the arrow's tip or length overflows, or 9 digits "
+                         "write its head with fewer than three corners" % (rec,))
+    gray = _gray(rec.color_grade)
     yield (
-        '<polygon points="%.9g,%.9g %.9g,%.9g %.9g,%.9g" fill="%s"/>\n'
-        % (tip_u, tip_v, bx + px, by + py, bx - px, by - py, gray)
+        '<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g" stroke="%s" stroke-width="%.9g"/>\n'
+        % (rec.u, rec.v, tip_u, tip_v, gray, 0.02 * rec.pen_width_hint)
     )
+    yield '<polygon points="%s %s %s" fill="%s"/>\n' % (*corners, gray)
 
 
 def _svg_lines(records, limits):
@@ -168,14 +175,17 @@ def _svg_lines(records, limits):
 def write_curves(records, path, fmt="jsonl", limits=None):
     """Write ``CurveRecord`` tuples to ``path`` as JSONL (one record per
     line, fixed key order, 9 significant digits) or as an SVG picture.
-    Before any file is opened, ``ValueError`` names the first record
-    that JSONL cannot hold as it is: a nan or inf (by its six floats), a
-    curve_id that is not an int, or a kind or transform that is not a
-    string, needs an escape or holds a lone surrogate, which UTF-8
-    cannot encode.  SVG also refuses an overflowing arrow and
-    a view box from non-finite or non-positive limits.  The file is
-    written beside ``path`` and renamed onto it, so on any error ``path``
-    keeps its old content and nothing else is left behind."""
+    Before any file is opened, an error names the first record that
+    JSONL cannot hold as it is: ``ValueError`` for a nan, an inf or an
+    int beyond the float range (by its six floats), a curve_id that is
+    not an int, or a kind or transform that is not a string, needs an
+    escape or holds a lone surrogate, which UTF-8 cannot encode, and
+    ``TypeError`` for a non-number among its six floats.  SVG also
+    refuses an arrow whose tip or length overflows or whose head 9
+    digits write with fewer than three corners, and a view box from
+    non-finite or non-positive limits.  The file is written beside
+    ``path`` and renamed onto it, so on any error ``path`` keeps its old
+    content and nothing else is left behind."""
     if fmt not in ("jsonl", "svg"):
         raise ValueError("unknown format %r" % (fmt,))
     if not isinstance(records, (list, tuple)):
@@ -323,7 +333,8 @@ def _run_tasks(tasks, config, workers, out):
         for kind in config.kinds:
             if any(name != "arrows" for name, _ in tasks):  # arrows read only the fields
                 build_families(kind)
-            vector_fields(kind)
+            if any(name != "transverses" for name, _ in tasks):  # transverses read no field
+                vector_fields(kind)
     started, sent = [], []
     try:
         for w in range(1, workers):

@@ -731,16 +731,15 @@ def _as_fraction(e):
     if isinstance(e, Pow) and e.exponent < 0:
         return ONE, pow_(e.base, -e.exponent)
     if isinstance(e, Add):
-        parts = [_as_fraction(t) for t in e.terms]
+        parts = [(n, _mul_powers(d)) for n, d in map(_as_fraction, e.terms)]
         den_pows = {}
-        for _, d in parts:
-            for base, x in _mul_powers(d).items():
+        for _, own in parts:
+            for base, x in own.items():
                 den_pows[base] = max(den_pows.get(base, x), x)
         if not den_pows:
             return e, ONE
         num_terms = []
-        for n, d in parts:
-            own = _mul_powers(d)
+        for n, own in parts:
             comp = [
                 pow_(base, x - own.get(base, 0))
                 for base, x in den_pows.items()
@@ -752,44 +751,25 @@ def _as_fraction(e):
     return e, ONE
 
 
-def _common_factors(num):
-    """Factors shared by every additive term of num."""
-    if isinstance(num, Add):
-        terms = num.terms
-    else:
-        terms = (num,)
-    shared = None
-    for t in terms:
-        pows = {b: x for b, x in _mul_powers(t).items() if x > 0}
-        if shared is None:
-            shared = pows
-        else:
-            shared = {b: min(x, pows[b]) for b, x in shared.items() if b in pows}
-    return shared or {}
-
-
 def normal(e):
     """Combine over a common denominator and cancel shared factors.
 
-    Cancellation is syntactic (identical factors only); the result is
-    idempotent and numerically equal to the input.  The denominator has no
-    coefficient to cancel: ``pow_`` takes a sum's rational content out of
-    every integer power and keeps a rational base only under an inexact root.
+    Cancellation is syntactic (identical factors only): a base cancels by
+    its least exponent over the denominator and every numerator term.  The
+    result is idempotent and numerically equal to the input.  The
+    denominator has no coefficient to cancel: ``pow_`` takes a sum's
+    rational content out of every integer power and keeps a rational base
+    only under an inexact root.
     """
     e = _coerce(e)
     num, den = _as_fraction(e)
-    if den is ONE:
-        return num
-    den_pows = _mul_powers(den)
-    shared = _common_factors(num)
-    cancel = []
-    for base, x in shared.items():
-        if base in den_pows:
-            m = min(x, den_pows[base])
-            if m > 0:
-                cancel.append((base, m))
-    if cancel:
-        inv = [pow_(b, -m) for b, m in cancel]
+    term_pows = [_mul_powers(t) for t in (num.terms if isinstance(num, Add) else (num,))]
+    inv = []
+    for base, x in _mul_powers(den).items():
+        m = min(x, *(pows.get(base, 0) for pows in term_pows))
+        if m > 0:
+            inv.append(pow_(base, -m))
+    if inv:
         num = mul(num, *inv)
         den = mul(den, *inv)
     if den is ONE:

@@ -3,10 +3,10 @@ Kronecker-product faithful representation used as an independent oracle
 for the Clifford product and its involutions, a per-term rewrite of the
 Clifford product as the oracle for its per-metric blade table, reference
 walkers for the term-order key, the derivative, the substitution and the
-float value of an expression, the reference content of a sum, and the
-operator-conjugated Moebius families that the vector fields are the
-t-derivatives of, the 50-digit value of a stream, and one shared run of
-``cliffeph all --format jsonl``."""
+float value of an expression, the reference content of a sum and the
+two-pass reference ``normal``, and the operator-conjugated Moebius
+families that the vector fields are the t-derivatives of, the 50-digit
+value of a stream, and one shared run of ``cliffeph all --format jsonl``."""
 
 import contextlib
 import decimal
@@ -32,7 +32,9 @@ from cliffeph import (
     symbols,
 )
 from cliffeph import plotcli, symexpr
-from cliffeph.symexpr import ONE, ZERO, Add, Func, Mul, Pow, Rational, Symbol, add, mul, pow_
+from cliffeph.symexpr import (
+    ONE, ZERO, Add, Func, Mul, Pow, Rational, Symbol, _coerce, _mul_powers, add, mul, pow_,
+)
 
 
 def eye(n):
@@ -255,6 +257,81 @@ def reference_add_content(e):
     if scale == 1:
         return Fraction(1), e
     return scale, add(*(mul(Rational(1 / scale), t) for t in e.terms))
+
+
+def _reference_as_fraction(e):
+    """Split into (numerator, denominator), combining sums over a common one."""
+    if isinstance(e, Mul):
+        nums, dens = [], []
+        for f in e.factors:
+            if isinstance(f, Pow) and f.exponent < 0:
+                dens.append(pow_(f.base, -f.exponent))
+            else:
+                nums.append(f)
+        return mul(*nums) if nums else ONE, mul(*dens) if dens else ONE
+    if isinstance(e, Pow) and e.exponent < 0:
+        return ONE, pow_(e.base, -e.exponent)
+    if isinstance(e, Add):
+        parts = [_reference_as_fraction(t) for t in e.terms]
+        den_pows = {}
+        for _, d in parts:
+            for base, x in _mul_powers(d).items():
+                den_pows[base] = max(den_pows.get(base, x), x)
+        if not den_pows:
+            return e, ONE
+        num_terms = []
+        for n, d in parts:
+            own = _mul_powers(d)
+            comp = [
+                pow_(base, x - own.get(base, 0))
+                for base, x in den_pows.items()
+                if x > own.get(base, 0)
+            ]
+            num_terms.append(mul(n, *comp))
+        den = mul(*(pow_(b, x) for b, x in den_pows.items()))
+        return add(*num_terms), den
+    return e, ONE
+
+
+def _reference_common_factors(num):
+    """Factors shared by every additive term of num."""
+    if isinstance(num, Add):
+        terms = num.terms
+    else:
+        terms = (num,)
+    shared = None
+    for t in terms:
+        pows = {b: x for b, x in _mul_powers(t).items() if x > 0}
+        if shared is None:
+            shared = pows
+        else:
+            shared = {b: min(x, pows[b]) for b, x in shared.items() if b in pows}
+    return shared or {}
+
+
+def reference_normal(e):
+    """Common denominator and syntactic cancellation in two passes: the
+    factors shared by every numerator term first, then those also in the
+    denominator; the oracle for ``symexpr.normal``."""
+    e = _coerce(e)
+    num, den = _reference_as_fraction(e)
+    if den is ONE:
+        return num
+    den_pows = _mul_powers(den)
+    shared = _reference_common_factors(num)
+    cancel = []
+    for base, x in shared.items():
+        if base in den_pows:
+            m = min(x, den_pows[base])
+            if m > 0:
+                cancel.append((base, m))
+    if cancel:
+        inv = [pow_(b, -m) for b, m in cancel]
+        num = mul(num, *inv)
+        den = mul(den, *inv)
+    if den is ONE:
+        return num
+    return mul(num, pow_(den, -1))
 
 
 def reference_diff(e, s):

@@ -1,17 +1,21 @@
 import argparse
+import collections
 import contextlib
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.dom.minidom
+from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cliffeph
 from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, plotcli, write_curves
@@ -66,6 +70,8 @@ class TestJsonl:
         assert os.listdir(tmp_path) == []
 
 
+# 9 digits write this head's three corners as one point, 10000000.2,10000000.2
+_FAR_ARROW = [_rec(kind="arrow", u=1e7, v=1e7, du=1, dv=1)]
 _BAD_ORDERS = [(("nan", "none"), ValueError), (("none", "nan"), TypeError),
                (("quote", "none"), ValueError), (("none", "quote"), TypeError)]
 
@@ -113,6 +119,21 @@ class TestWriteSafety:
     def test_svg_error_names_the_first_bad_record(self, tmp_path, bad):
         self.test_jsonl_error_names_the_first_bad_record(tmp_path, bad, "svg")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
+    @pytest.mark.parametrize("bad,error,what", [
+        # an int beyond the float range raised an OverflowError that named no record
+        pytest.param(2 ** 1024, ValueError, "non-finite number", id="huge-int"),
+        # a non-number raised math.isfinite's TypeError, which named no record either
+        pytest.param(None, TypeError, "non-number", id="none"),
+        pytest.param("1", TypeError, "non-number", id="str"),
+    ])
+    def test_bad_float_field_error_names_its_record(self, tmp_path, fmt, bad, error, what):
+        recs = [_rec(i=k, u=k / 10) for k in range(4)]
+        recs[2] = recs[2]._replace(dv=bad)
+        with pytest.raises(error, match=re.escape("cannot write %s in %r" % (what, recs[2][3:]))):
+            write_curves(recs, tmp_path / ("a." + fmt), fmt)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("order,error", _BAD_ORDERS)
     def test_jsonl_first_bad_record_picks_the_error(self, tmp_path, order, error, fmt="jsonl"):
         bad = {"nan": _rec(v=math.nan), "none": _rec(v=None), "quote": _rec(kind='"')}
@@ -143,6 +164,8 @@ class TestWriteSafety:
         # a finite tip whose shaft length overflows: the head had no direction
         pytest.param([_rec(kind="arrow", u=0, v=0, du=1.7e308, dv=1.7e308)], None,
                      id="arrow-head"),
+        # 9 digits wrote the head's three corners as one point
+        pytest.param(_FAR_ARROW, None, id="arrow-far"),
         pytest.param([_rec(), _rec(u=0.7)], (math.inf, 25.0), id="view-box"),
         *(pytest.param([_rec(), _rec(u=0.7)], limits, id="view-box-%g-%g" % limits)
           for limits in ((-1, 25), (0, 25), (25, -1))),
@@ -189,6 +212,107 @@ class TestWriteSafety:
         with pytest.raises(OSError, match="cannot write"):
             write_curves([_rec()], tmp_path / "missing" / "a.jsonl", "jsonl")
         assert os.listdir(tmp_path) == []
+
+
+# Records for the writer properties: ordinary curves and arrows, near the
+# origin or far from it, then up to two fields replaced by any value below.
+# Ints stop at 4,300 digits, the most that Python converts to text by default.
+_ANY_INT = st.integers() | st.booleans() | st.sampled_from(
+    [2 ** 64, -(2 ** 64), 2 ** 1024, -(2 ** 1024), 10 ** 4299, -(10 ** 4299)])
+_ANY_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\ud800",
+                                     "\udcff", "a", "\u00e9"]) | st.characters(), max_size=4)
+_ANY_FLOAT = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-310, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf])
+_ANY_VALUE = _ANY_INT | _ANY_TEXT | _ANY_FLOAT | st.none()
+_COORD = st.floats(-30, 30) | st.floats(-1e12, 1e12)
+_CURVE_POINT = st.builds(
+    CurveRecord, curve_id=st.integers(0, 3), kind=st.sampled_from(["orbit", "arrow"]),
+    transform=st.just("direct"), u=_COORD, v=_COORD, du=st.floats(-3, 3) | st.integers(-3, 3),
+    dv=st.floats(-3, 3) | st.integers(-3, 3), color_grade=st.floats(0, 1.2),
+    pen_width_hint=st.sampled_from([0.5, 1.0, 1.5]))
+
+
+@st.composite
+def _records(draw):
+    recs = draw(st.lists(_CURVE_POINT, max_size=6))
+    for i, field, value in draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FIELDS),
+                                                   _ANY_VALUE), max_size=2)):
+        if recs:
+            recs[i % len(recs)] = recs[i % len(recs)]._replace(**{field: value})
+    return recs
+
+
+def _write(recs, path, fmt):
+    """The ValueError or TypeError that ``write_curves`` raised, or None
+    when it wrote ``path``."""
+    try:
+        write_curves(recs, path, fmt)
+    except (ValueError, TypeError) as err:
+        return err
+    return None
+
+
+def _named(err, recs):
+    """The records that ``err`` names, whole or by their six floats."""
+    return [r for r in recs if repr(r) in str(err) or repr(tuple(r[3:])) in str(err)]
+
+
+def _curves(recs):
+    return [list(run) for _, run in itertools.groupby(recs, operator.itemgetter(0))]
+
+
+def _drawn_arrows(recs):
+    """The records SVG draws as arrows: those of a curve whose first record
+    is an arrow, each with a non-zero length."""
+    return [r for run in _curves(recs) if run[0].kind == "arrow" for r in run
+            if math.hypot(r.du, r.dv)]
+
+
+class TestWriterProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_records())
+    @example(_FAR_ARROW)
+    def test_formats_refuse_alike_naming_a_record_or_write(self, recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            errors = {fmt: _write(recs, os.path.join(tmp, "a." + fmt), fmt)
+                      for fmt in ("jsonl", "svg")}
+            assert sorted(os.listdir(tmp)) == ["a." + f for f, err in errors.items() if err is None]
+        for err in errors.values():
+            assert err is None or _named(err, recs)
+        jsonl, svg = errors["jsonl"], errors["svg"]
+        if jsonl is not None:
+            assert (type(svg), str(svg)) == (type(jsonl), str(jsonl))
+        elif svg is not None:
+            # SVG alone refuses an arrow it cannot draw
+            drawn = _drawn_arrows(recs)
+            assert type(svg) is ValueError and all(r in drawn for r in _named(svg, recs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_records())
+    @example(_FAR_ARROW)
+    def test_written_files_read_back(self, recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            jsonl, svg = os.path.join(tmp, "a.jsonl"), os.path.join(tmp, "a.svg")
+            if _write(recs, jsonl, "jsonl") is not None:
+                return  # refused; the property above checks how
+            with open(jsonl, encoding="utf-8", newline="") as fh:
+                lines = fh.read().split("\n")  # U+2028 and U+0085 are no line ends here
+            assert lines.pop() == "" and len(lines) == len(recs)
+            for line, rec in zip(lines, recs):
+                parsed = json.loads(line)
+                assert list(parsed) == list(FIELDS)
+                assert [parsed[f] for f in FIELDS[:3]] == list(rec[:3])
+                assert [parsed[f] for f in FIELDS[3:]] == [float("%.9g" % x) for x in rec[3:]]
+            if _write(recs, svg, "svg") is not None:
+                return
+            root = ElementTree.parse(svg).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        paths = list(root.iter(ns + "path"))
+        assert len(paths) == sum(run[0].kind != "arrow" and len(run) > 1 for run in _curves(recs))
+        polygons = list(root.iter(ns + "polygon"))
+        assert len(polygons) == len(_drawn_arrows(recs))
+        for polygon in polygons:
+            assert len(set(polygon.get("points").split())) == 3
 
 
 class TestSvg:
@@ -572,6 +696,24 @@ class TestWorkers:
 
         monkeypatch.setattr(os, "fork", fork)
         assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, built", [
+        # transverse tasks read only the families, arrow tasks only the fields
+        ("transverses", {"build_families": 3, "vector_fields": 0}),
+        ("arrows", {"build_families": 0, "vector_fields": 3}),
+        ("all", {"build_families": 3, "vector_fields": 3}),
+    ])
+    def test_only_what_some_task_reads_is_built_before_the_fork(
+            self, tmp_path, monkeypatch, command, built):
+        monkeypatch.setattr(plotcli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(plotcli, "run_pipeline", lambda name, job, config: iter(()))
+        monkeypatch.setattr(plotcli, "run_verify", lambda config, out: True)
+        calls = collections.Counter()
+        for name in built:
+            monkeypatch.setattr(plotcli, name, lambda kind, name=name: calls.update([name]))
+        assert cli_main([command, "--metric", "all", "--out", str(tmp_path)]) == 0
+        assert {name: calls[name] for name in built} == built
+        assert _no_children()
 
     def test_all_is_warnings_clean_in_dev_mode(self, tmp_path, fmt="jsonl"):
         # a worker's pipe left open is a ResourceWarning; from 3.12 a fork

@@ -58,6 +58,7 @@ from conftest import (
     reference_diff,
     reference_evalf,
     reference_key,
+    reference_normal,
     reference_subs,
 )
 
@@ -563,6 +564,44 @@ def test_add_content_matches_reference_fold(e, q):
 def test_normal_is_idempotent(e):
     n = normal(e)
     assert normal(n) == n
+
+
+# numerator 8*(1 + x)**2 + (1 + x)**3 + 24*(1 + x)**(11/2) over
+# (1 + x)**(5/2)*(2 + 2*x)**(3/2): a fractional power of 1 + x cancels
+_CANCELS_A_ROOT = add(
+    mul(3, pow_(add(2, mul(2, x)), Fraction(3, 2))),
+    mul(2, pow_(add(1, x), Fraction(-5, 2)), pow_(add(2, mul(2, x)), Fraction(1, 2))),
+    mul(pow_(add(1, x), Fraction(1, 2)), pow_(add(2, mul(2, x)), Fraction(-3, 2))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees | shared_trees)
+@example(_CANCELS_A_ROOT)
+# x shares no power of x + y with the other terms, so nothing cancels
+@example(add(x, pow_(add(x, y), Fraction(-3, 2)), pow_(add(x, y), -1)))
+def test_normal_is_the_reference_node(e):
+    try:
+        expected = reference_normal(e)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            normal(e)
+        return
+    assert normal(e) is expected
+
+
+def test_normal_pinned_results():
+    num, den = _as_fraction(_CANCELS_A_ROOT)
+    assert to_str(num) == "8*(1 + x)**2 + (1 + x)**3 + 24*(1 + x)**(11/2)"
+    assert to_str(den) == "(1 + x)**(5/2)*(2 + 2*x)**(3/2)"
+    assert to_str(normal(_CANCELS_A_ROOT)) == (
+        "x*(1 + x)**(-1/2)*(2 + 2*x)**(-3/2) + 9*(1 + x)**(-1/2)*(2 + 2*x)**(-3/2)"
+        " + 24*(1 + x)**3*(2 + 2*x)**(-3/2)")
+    # mul multiplies the sum y*(1 + x) out, so a denominator is not always
+    # the product of its bases' powers
+    z = symbol("z")
+    assert normal(z / (y * (1 + x))) == mul(z, pow_(add(y, mul(x, y)), -1))
+    assert to_str(normal(z / (y * (1 + x)))) == "z*(y + x*y)**(-1)"
 
 
 @settings(max_examples=150, deadline=None)
