@@ -1,7 +1,6 @@
 """Curve persistence (JSONL and SVG), output file naming and the
 command-line driver for the geometry pipelines."""
 
-import argparse
 import contextlib
 import io
 import marshal
@@ -9,7 +8,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -72,6 +71,7 @@ def _finite(*xs):
     return xs
 
 
+_FORMATS = ("jsonl", "svg")
 # One JSONL record: the keys in FIELDS order, floats to 9 significant digits.
 _JSONL_LINE = (
     '{"curve_id": %d, "kind": "%s", "transform": "%s", "u": %.9g, "v": %.9g, '
@@ -98,15 +98,24 @@ def _plain(text):
     return True
 
 
+# the most digits Python writes an int with; 0, no limit, before 3.10.7
+_max_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _all_valid(records):
-    """Whether every record has an int curve_id, a plain kind and
-    transform and finite floats, checked a field at a time."""
+    """Whether every record has an int curve_id that Python can write in
+    decimal, a plain kind and transform and finite floats, checked a
+    field at a time."""
     try:
         pairs = set(map(_TEXTS, records))  # few distinct kinds and transforms
         finite = all(map(math.isfinite, chain.from_iterable(map(_FLOATS, records))))
+        id_bits = max(map(int.bit_length, map(_ID, records)), default=0)  # TypeError if not an int
     except (TypeError, OverflowError):  # an unhashable text, a non-number or a huge int
         return False
-    return (finite and all(map(isinstance, map(_ID, records), repeat(int)))
+    # an id of at most 3 * limit bits is below 8 ** limit; only a wider one is compared
+    limit = _max_int_digits()
+    return (finite and (not limit or id_bits <= 3 * limit
+                        or max(map(abs, map(_ID, records))) < 10 ** limit)
             and all(map(_plain, chain.from_iterable(pairs))))
 
 
@@ -180,18 +189,29 @@ def write_curves(records, path, fmt="jsonl", limits=None):
     int beyond the float range (by its six floats), a curve_id that is
     not an int, or a kind or transform that is not a string, needs an
     escape or holds a lone surrogate, which UTF-8 cannot encode, and
-    ``TypeError`` for a non-number among its six floats.  SVG also
+    ``TypeError`` for a non-number among its six floats.  A record
+    holding an int with more digits than Python writes
+    (``sys.get_int_max_str_digits()``) has no repr, so its
+    ``ValueError`` names it by position, kind and transform.  SVG also
     refuses an arrow whose tip or length overflows or whose head 9
     digits write with fewer than three corners, and a view box from
     non-finite or non-positive limits.  The file is written beside
     ``path`` and renamed onto it, so on any error ``path`` keeps its old
     content and nothing else is left behind."""
-    if fmt not in ("jsonl", "svg"):
+    if fmt not in _FORMATS:
         raise ValueError("unknown format %r" % (fmt,))
     if not isinstance(records, (list, tuple)):
         records = list(records)
     if not _all_valid(records):
-        for rec in records:
+        for i, rec in enumerate(records):
+            try:
+                repr(rec)
+            except ValueError:  # an int in it has more digits than Python writes
+                kind, transform = ("%r" % x if isinstance(x, str) else "<%s>" % type(x).__name__
+                                   for x in rec[1:3])
+                raise ValueError(
+                    "cannot write record %d (kind %s, transform %s): an int in it has more than "
+                    "%d digits" % (i, kind, transform, _max_int_digits())) from None
             _finite(*_FLOATS(rec))
             if not _all_valid((rec,)):
                 raise ValueError("cannot write %r: curve_id must be an int, kind and "
@@ -362,40 +382,114 @@ def _run_tasks(tasks, config, workers, out):
 
 _METRIC_FLAGS, _SUBGROUP_FLAGS = (
     dict({m.letter: [m] for m in enum}, all=list(enum)) for enum in (MetricKind, Subgroup))
+# Each flag's values (None: any directory) and default.  A command takes
+# only the flags it reads: future-past always draws hyperbolic frames,
+# and verify writes no file.
+_FLAGS = {"--metric": (_METRIC_FLAGS, "all"), "--subgroup": (_SUBGROUP_FLAGS, "all"),
+          "--out": (None, "."), "--format": (_FORMATS, "jsonl")}
+_COMMAND_FLAGS = dict.fromkeys((*PIPELINE_STEMS, "verify", "all"), tuple(_FLAGS))
+_COMMAND_FLAGS.update({"future-past": ("--out", "--format"),
+                       "verify": ("--metric", "--subgroup", "--out")})
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cliffeph",
-        description="Sample subgroup orbits of the EPH plane geometries "
-        "and verify their focal properties.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*PIPELINE_STEMS, "verify", "all"):
-        p = sub.add_parser(name)
-        # each command takes only the flags it reads; the rest keep these
-        p.set_defaults(metric="all", subgroup="all", format="jsonl")
-        if name != "future-past":
-            p.add_argument("--metric", choices=sorted(_METRIC_FLAGS))
-            p.add_argument("--subgroup", choices=sorted(_SUBGROUP_FLAGS))
-        p.add_argument("--out", default=".", metavar="DIR")
-        if name != "verify":
-            p.add_argument("--format", choices=("jsonl", "svg"))
-    return parser
+def _usage():
+    return "usage: cliffeph [-h] {%s} %s" % (",".join(_COMMAND_FLAGS), " ".join(
+        "[%s %s]" % (flag, "{%s}" % ",".join(sorted(values)) if values else "DIR")
+        for flag, (values, _) in _FLAGS.items()))
+
+
+def _refuse(message):
+    sys.stderr.write("%s\ncliffeph: error: %s\n" % (_usage(), message))
+    raise SystemExit(2)
+
+
+def _read_option(token, flags):
+    """How ``token`` reads among the long ``flags`` and -h: None for a
+    value, else the flag (None if unknown) and the text attached to it
+    (None if none).  A long flag may be cut to a prefix that is its
+    alone.  A value starts with "-" only as a negative number or with a
+    space in it."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, attached = token.partition("=")
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _refuse("ambiguous option %r could match %s" % (token, ", ".join(matches)))
+        if matches:
+            return matches[0], attached if eq else None
+    elif token[1] == "h":  # "-hx" is -h with "x" attached; "-hh" and "-h=h" are -h twice
+        attached = (attached if eq else None) if name == "-h" else token[2:]
+        return "-h", None if attached and not attached.strip("h") else attached
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_args(argv):
+    """The command and flag values of the command line ``argv``.  Before
+    the command only -h and --help are flags; after it the command's own
+    are too, the last value of each winning.  Help exits 0 and a refusal
+    exits 2, whichever comes first, but unknown options, stray values
+    and "--" with all after it are refused only at the end."""
+    args, unknown, flags, i = None, [], ("--help",), 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        option = None if token == "--" else _read_option(token, flags)
+        if option is None and args is None:  # the command
+            if token not in _COMMAND_FLAGS:
+                _refuse("invalid command %r (choose from %s)" % (token, ", ".join(_COMMAND_FLAGS)))
+            args = dict({flag[2:]: default for flag, (_, default) in _FLAGS.items()}, command=token)
+            flags = (*_COMMAND_FLAGS[token], "--help")
+            rest = argv[i:]
+            for later in rest[:rest.index("--")] if "--" in rest else rest:
+                _read_option(later, flags)  # an ambiguous option is refused before any flag acts
+        elif token == "--":
+            unknown += argv[i - 1:]
+            break
+        elif option is None or option[0] is None:
+            unknown.append(token)
+        elif option[0] in ("-h", "--help"):
+            if option[1] is not None:
+                _refuse("%s takes no value: %r" % option)
+            print(_usage(), "", "Sample subgroup orbits of the EPH plane geometries and verify "
+                  "their focal properties.", "", "commands and the flags each takes:",
+                  *("  %-12s %s" % (name, " ".join(takes))
+                    for name, takes in _COMMAND_FLAGS.items()),
+                  "defaults: " + " ".join("%s %s" % (flag, default)
+                                          for flag, (_, default) in _FLAGS.items()), sep="\n")
+            raise SystemExit(0)
+        else:
+            flag, value = option
+            if value is None:  # the next token, which must read as a value
+                if i == len(argv) or argv[i] == "--" or _read_option(argv[i], flags):
+                    _refuse("%s expects a value" % flag)
+                value = argv[i]
+                i += 1
+            values = _FLAGS[flag][0]
+            if values is not None and value not in values:
+                _refuse("invalid %s %r (choose from %s)" % (flag, value, ", ".join(sorted(values))))
+            args[flag[2:]] = value
+    if args is None:
+        _refuse("a command is required")
+    if unknown:
+        _refuse("unrecognized arguments: %s" % " ".join(map(repr, unknown)))
+    return args
 
 
 def cli_main(argv=None):
-    args = _build_parser().parse_args(argv)
-    pipelines = (*PIPELINE_STEMS, "verify") if args.command == "all" else (args.command,)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    pipelines = (*PIPELINE_STEMS, "verify") if args["command"] == "all" else (args["command"],)
     config = JobConfig(
-        kinds=_METRIC_FLAGS[args.metric],
-        subs=_SUBGROUP_FLAGS[args.subgroup],
-        out_dir=args.out,
-        fmt=args.format,
+        kinds=_METRIC_FLAGS[args["metric"]],
+        subs=_SUBGROUP_FLAGS[args["subgroup"]],
+        out_dir=args["out"],
+        fmt=args["format"],
     )
     # verify writes no file, so only the other commands touch --out
     try:
-        if args.command != "verify":
+        if args["command"] != "verify":
             os.makedirs(config.out_dir, exist_ok=True)
     except OSError as err:
         print("cliffeph: error: cannot use --out %s: %s" % (config.out_dir, err.strerror),

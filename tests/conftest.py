@@ -6,8 +6,11 @@ walkers for the term-order key, the derivative, the substitution and the
 float value of an expression, the reference content of a sum and the
 two-pass reference ``normal``, and the operator-conjugated Moebius
 families that the vector fields are the t-derivatives of, the 50-digit
-value of a stream, and one shared run of ``cliffeph all --format jsonl``."""
+value of a stream, the argparse command-line parser that ``plotcli``'s
+own parser is checked against, and one shared run of ``cliffeph all
+--format jsonl``."""
 
+import argparse
 import contextlib
 import decimal
 import io
@@ -534,6 +537,29 @@ def operator_family(kind, sub, slot):
         left, right = ((cay.C, cay.CI), (cay.C1, cay.C1I))[slot - 1]
         mat = mat_mul(mat_mul(left, mat), right)
     return tuple(clifford_moebius_map(mat, (x, y), metric_for(kind)))
+
+
+def reference_parser():
+    """``plotcli``'s argparse parser as it was before ``plotcli._parse_args``
+    replaced it, kept verbatim but for the module names: the reference
+    that ``_parse_args`` must decide every command line as."""
+    parser = argparse.ArgumentParser(
+        prog="cliffeph",
+        description="Sample subgroup orbits of the EPH plane geometries "
+        "and verify their focal properties.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (*plotcli.PIPELINE_STEMS, "verify", "all"):
+        p = sub.add_parser(name)
+        # each command takes only the flags it reads; the rest keep these
+        p.set_defaults(metric="all", subgroup="all", format="jsonl")
+        if name != "future-past":
+            p.add_argument("--metric", choices=sorted(plotcli._METRIC_FLAGS))
+            p.add_argument("--subgroup", choices=sorted(plotcli._SUBGROUP_FLAGS))
+        p.add_argument("--out", default=".", metavar="DIR")
+        if name != "verify":
+            p.add_argument("--format", choices=("jsonl", "svg"))
+    return parser
 
 
 @pytest.fixture(scope="session")

@@ -70,3 +70,50 @@ def test_failed_multi_worker_run_loads_no_pickle(tmp_path):
     assert paths == [os.path.join(tmp_path, "arrows-A-e.jsonl")]
     assert last.split() == ["2"]
     assert proc.stderr.startswith("cliffeph: error: cannot write ")
+
+
+# argparse loads gettext, and its first message lookup loads locale
+PARSING = {"argparse", "gettext", "locale"}
+
+_CLI_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from cliffeph import plotcli
+try:
+    sys.exit(plotcli.cli_main(sys.argv[3:]))
+finally:
+    with open(sys.argv[2], "w") as fh:
+        fh.write(" ".join(sys.modules))
+"""
+
+
+def _cli_run(tmp_path, argv):
+    """(exit status, stdout, stderr, modules loaded) of a cold
+    ``cli_main(argv)`` in a bare interpreter."""
+    loaded = tmp_path / "modules"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _CLI_RUN, SRC, str(loaded),
+                           *argv], capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr, set(loaded.read_text().split())
+
+
+def test_cold_runs_load_no_argument_parser(tmp_path):
+    out = str(tmp_path / "out")
+    for argv, status in [(["arrows", "--metric", "p", "--subgroup", "N", "--out", out], 0),
+                         (["orbits", "--metric", "q"], 2), (["--help"], 0), ([], 2)]:
+        code, stdout, stderr, loaded = _cli_run(tmp_path, argv)
+        assert (code, loaded & PARSING) == (status, set()), (argv, stderr)
+
+
+def test_help_names_every_command_and_flag(tmp_path):
+    code, stdout, stderr, _ = _cli_run(tmp_path, ["--help"])
+    assert (code, stderr) == (0, "")
+    words = set(stdout.replace("[", " ").replace("]", " ").split())
+    assert {"orbits", "transverses", "arrows", "future-past", "verify", "all"} <= words
+    assert {"--metric", "--subgroup", "--out", "--format"} <= words
+
+
+def test_no_arguments_exits_2_with_a_usage_line(tmp_path):
+    code, stdout, stderr, _ = _cli_run(tmp_path, [])
+    usage, error = stderr.splitlines()
+    assert (code, stdout) == (2, "")
+    assert usage.startswith("usage: cliffeph ") and error.startswith("cliffeph: error: ")

@@ -1,4 +1,3 @@
-import argparse
 import collections
 import contextlib
 import io
@@ -21,7 +20,8 @@ import cliffeph
 from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, plotcli, write_curves
 from cliffeph.curves import FIELDS
 from cliffeph.ephgeom import MetricKind, Subgroup
-from cliffeph.plotcli import _build_parser, run_verify
+from cliffeph.plotcli import _parse_args, run_verify
+from conftest import reference_parser
 
 
 def _rec(i=0, kind="orbit", u=0.5, v=1.5, **kw):
@@ -202,6 +202,33 @@ class TestWriteSafety:
             write_curves(recs, tmp_path / ("a." + fmt), fmt)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
+    @pytest.mark.parametrize("field,bad,kind", [
+        # JSONL failed inside the write with Python's own ValueError, which
+        # named no record, while SVG, which never prints curve_id, wrote the file
+        pytest.param("curve_id", 10 ** 4300, "'orbit'", id="id-4301-digits"),
+        pytest.param("curve_id", -(10 ** 5000), "'orbit'", id="id-negative"),
+        # the errors that name a record by its repr or its floats failed in repr
+        pytest.param("kind", 10 ** 4300, "<int>", id="kind"),
+        pytest.param("dv", 10 ** 4300, "'orbit'", id="float-field"),
+    ])
+    def test_int_too_long_to_print_raises_naming_its_position(self, tmp_path, fmt, field, bad, kind):
+        recs = [_rec(i=k, u=k / 10) for k in range(5)]
+        recs[3] = recs[3]._replace(**{field: bad})
+        message = "cannot write record 3 (kind %s, transform 'direct'): an int in it has more " \
+                  "than 4300 digits" % kind
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_curves(recs, tmp_path / ("a." + fmt), fmt)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "svg"])
+    def test_id_of_4300_digits_is_written(self, tmp_path, fmt):
+        recs = [_rec(i=-(10 ** 4300 - 1)), _rec(i=10 ** 4000, u=0.7)]
+        write_curves(recs, tmp_path / ("a." + fmt), fmt)
+        if fmt == "jsonl":
+            lines = (tmp_path / "a.jsonl").read_text().splitlines()
+            assert [json.loads(line)["curve_id"] for line in lines] == [r.curve_id for r in recs]
+
     def test_plain_strings_write_lines_json_reads_back(self, tmp_path):
         recs = [_rec(kind="orbit", transform="cayl-a \x7f '/'"), _rec(i=2 ** 70)]
         path = tmp_path / "a.jsonl"
@@ -216,9 +243,10 @@ class TestWriteSafety:
 
 # Records for the writer properties: ordinary curves and arrows, near the
 # origin or far from it, then up to two fields replaced by any value below.
-# Ints stop at 4,300 digits, the most that Python converts to text by default.
+# Python writes ints of up to 4,300 digits by default: 10 ** 4300 has 4,301.
 _ANY_INT = st.integers() | st.booleans() | st.sampled_from(
-    [2 ** 64, -(2 ** 64), 2 ** 1024, -(2 ** 1024), 10 ** 4299, -(10 ** 4299)])
+    [2 ** 64, -(2 ** 64), 2 ** 1024, -(2 ** 1024), 10 ** 4000, 10 ** 4300 - 1, -(10 ** 4300 - 1),
+     10 ** 4300, -(10 ** 4300), 10 ** 5000])
 _ANY_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\ud800",
                                      "\udcff", "a", "\u00e9"]) | st.characters(), max_size=4)
 _ANY_FLOAT = st.floats() | st.sampled_from(
@@ -253,8 +281,17 @@ def _write(recs, path, fmt):
 
 
 def _named(err, recs):
-    """The records that ``err`` names, whole or by their six floats."""
-    return [r for r in recs if repr(r) in str(err) or repr(tuple(r[3:])) in str(err)]
+    """The records that ``err`` names: whole or by their six floats, or by
+    position if an int in the record is too long for its repr."""
+    named = []
+    for i, rec in enumerate(recs):
+        try:
+            names = (repr(rec), repr(tuple(rec[3:])))
+        except ValueError:
+            names = ("cannot write record %d " % i,)
+        if any(name in str(err) for name in names):
+            named.append(rec)
+    return named
 
 
 def _curves(recs):
@@ -349,6 +386,49 @@ _PAIR = st.one_of(st.tuples(st.just("--metric"), st.sampled_from(("e", "p", "h",
                   st.tuples(st.just("--out"), _OUT),
                   st.tuples(_TOKEN), st.tuples(_TOKEN, _TOKEN))
 
+# Command lines for the parser oracle: the six commands; the four flags and
+# --help, whole or cut to a prefix, alone, with a value after them or with
+# "=value" attached; and values that are legal, start with "-" (words and
+# negative numbers), are -h or "--", or are junk.
+_FLAG = st.sampled_from(("--metric", "--subgroup", "--out", "--format", "--help")).flatmap(
+    lambda flag: st.integers(3, len(flag)).map(lambda n: flag[:n]))
+_VALUE = st.one_of(st.sampled_from(("e", "p", "h", "all", "A", "N", "K", "jsonl", "svg", "d", "",
+                                    "-d", "-", "-x y", "--xyz=a b", "-1", "-.5", "-1.", "-1\n",
+                                    "-h", "-hh", "-h=h", "-hx", "--", "--=x", "--bogus")),
+                   _JUNK)
+_ARG = st.one_of(st.sampled_from(_COMMANDS).map(lambda command: [command]),
+                 _FLAG.map(lambda flag: [flag]),
+                 st.tuples(_FLAG, _VALUE).map(list),
+                 st.tuples(_FLAG, _VALUE).map(lambda pair: ["%s=%s" % pair]),
+                 _VALUE.map(lambda value: [value]))
+_ARGV = st.tuples(st.sampled_from(_COMMANDS).map(lambda command: [command]) | _ARG,
+                  st.lists(_ARG, max_size=4)).map(lambda t: t[0] + [*itertools.chain(*t[1])])
+# argparse drops an attached "--" (``--out=--``) and hands cli_main an empty
+# list, which it failed on with a traceback.  _parse_args reads it as the
+# text "--", so the reference gets a stand-in text there: no argv holds a NUL.
+_DASHES = "\0dashes"
+_REFERENCE = reference_parser()
+
+
+def _decide(parse, argv):
+    """(exit status or the flag values, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            decision = parse(argv)
+        except SystemExit as exc:
+            decision = exc.code
+    return decision, out.getvalue(), err.getvalue()
+
+
+def _reference_decision(argv):
+    argv = [token[:-2] + _DASHES if token.partition("=")[2] == "--" else token for token in argv]
+    decision = _decide(lambda a: vars(_REFERENCE.parse_args(a)), argv)[0]
+    if isinstance(decision, dict):
+        decision = {key: value.replace(_DASHES, "--") for key, value in decision.items()}
+    return decision
+
+
 
 class TestCli:
     def test_orbits_all_emits_27_files(self, tmp_path, capsys):
@@ -406,12 +486,21 @@ class TestCli:
         ["verify", "--metric", "all", "--out", "d"],
     ])
     def test_benchmark_command_lines_parse(self, argv):
-        args = _build_parser().parse_args(argv)
-        assert args.out == "d"
+        assert _parse_args(argv)["out"] == "d"
 
-    def test_subcommands_in_order(self):
-        action = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(action.choices) == ["orbits", "transverses", "arrows", "future-past", "verify", "all"]
+    def test_subcommands_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(["--help"])
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  ")]
+        assert exc.value.code == 0
+        assert listed == ["orbits", "transverses", "arrows", "future-past", "verify", "all"]
+
+    def test_argv_may_be_any_iterable(self, capsys):
+        # as argparse took it
+        with pytest.raises(SystemExit) as exc:
+            cli_main(iter(["orbits", "--help"]))
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: cliffeph ")
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -494,6 +583,39 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    @settings(max_examples=200, deadline=None)
+    @given(_ARGV)
+    @example(["orbits", "--met", "e"])
+    @example(["verify", "--o", "d"])
+    @example(["future-past", "--f", "svg"])
+    @example(["orbits", "--out="])
+    @example(["orbits", "--metric", "e", "--metric", "p"])
+    @example(["orbits", "--out", "-d"])
+    @example(["orbits", "--out", "-1"])
+    @example(["orbits", "--out", "-x y"])
+    @example(["orbits", "--"])
+    @example(["orbits", "-h", "--metric", "q"])
+    @example(["orbits", "--metric", "q", "-h"])
+    @example(["--he"])
+    @example(["--bogus", "orbits", "-h"])
+    @example(["orbits", "-h", "--=x"])
+    @example(["orbits", "-h=h"])
+    @example(["orbits", "--out=--"])
+    @example(["orbits", "--metric=--", "-h"])
+    @example(["orbits", "-1\n"])  # an error line quotes what it names
+    def test_parser_decides_as_argparse(self, argv):
+        expected = _reference_decision(argv)
+        decision, out, err = _decide(_parse_args, argv)
+        assert decision == expected
+        if decision == 0:
+            assert out.startswith("usage: cliffeph ") and err == ""
+        elif decision == 2:
+            usage, error = err.splitlines()
+            assert usage.startswith("usage: cliffeph ") and error.startswith("cliffeph: error: ")
+            assert out == ""
+        else:
+            assert out == err == ""
+
     @settings(max_examples=150, deadline=2000)
     @given(command=st.sampled_from(_COMMANDS), out=_OUT, pairs=st.lists(_PAIR, max_size=3),
            verify_ok=st.booleans())
@@ -523,7 +645,7 @@ class TestCli:
             mp.setattr(plotcli, "run_pipeline", run_pipeline)
             mp.setattr(plotcli, "run_verify", run_verify)
             try:
-                args = _build_parser().parse_args(argv)
+                args = _parse_args(argv)
             except SystemExit:
                 args = None
             try:
@@ -534,10 +656,10 @@ class TestCli:
         assert "Traceback" not in output.getvalue()
         assert not list(base.rglob("*.part"))
         made = {p.resolve() for p in base.rglob("*") if p.is_dir()} - {cwd.resolve()}
-        if args is None or args.command == "verify":
+        if args is None or args["command"] == "verify":
             assert not made
         else:
-            target = (cwd / args.out).resolve()
+            target = (cwd / args["out"]).resolve()
             assert all(target == d or target.is_relative_to(d) for d in made)
             assert target.is_dir() or code == 2
 
