@@ -336,11 +336,10 @@ def _transverse_direction(u, v, tu, tv):
     return tu / r, tv / r
 
 
-def sample_orbits(kind, sub):
-    """Orbit polylines plus both Cayley-point images, keyed by stream 0..2:
-    one curve per orbit origin, sweeping the family parameter."""
-    kind = MetricKind(kind)
-    sub = Subgroup(sub)
+def orbit_streams(kind, sub):
+    """Orbit polylines plus both Cayley-point images as (stream, records),
+    stream 0..2 in turn: one curve per orbit origin, sweeping the parameter."""
+    kind, sub = MetricKind(kind), Subgroup(sub)
     origins = _orbit_origins(sub, kind)
     params = _node_parameters(sub, kind)
     curves = [
@@ -349,11 +348,14 @@ def sample_orbits(kind, sub):
     ]
 
     fams, fields = build_families(kind), vector_fields(kind)
-    return {
-        t: _sample("orbit", t.label, fams[(sub, t)].fn(), fields[(sub, t)].fn(), curves,
-                   _accept(kind, t != TransformType.DIRECT), 1.5)
-        for t in TransformType
-    }
+    for t in TransformType:
+        yield t, _sample("orbit", t.label, fams[(sub, t)].fn(), fields[(sub, t)].fn(), curves,
+                         _accept(kind, t != TransformType.DIRECT), 1.5)
+
+
+def sample_orbits(kind, sub):
+    """The records of ``orbit_streams``, keyed by stream."""
+    return dict(orbit_streams(kind, sub))
 
 
 def _transverse(fam, sub):
@@ -365,12 +367,11 @@ def _transverse(fam, sub):
     return tuple(normal(diff(c, Y)) for c in (fam.u, fam.v))
 
 
-def sample_transverses(kind, sub):
-    """Curves crossing the orbit family: the parameter is fixed per curve
-    while the origin sweeps the orbit seeds; each stream's transverse
-    direction is built here, where it is read."""
-    kind = MetricKind(kind)
-    sub = Subgroup(sub)
+def transverse_streams(kind, sub):
+    """Curves crossing the orbit family as (stream, records), stream 0..2
+    in turn: the parameter is fixed per curve while the origin sweeps the
+    orbit seeds; each stream's transverse direction is built as it is sampled."""
+    kind, sub = MetricKind(kind), Subgroup(sub)
     origins = _orbit_origins(sub, kind)
     curves = [
         (1.2, [(x0, y0, t) for x0, y0 in origins])
@@ -378,16 +379,19 @@ def sample_transverses(kind, sub):
     ]
 
     fams = build_families(kind)
-    out = {}
     try:
         for t in TransformType:
             fam = fams[(sub, t)]
             fn = compile_ex((fam.u, fam.v, *_transverse(fam, sub)), (X, Y, T))
-            out[t] = _sample("transverse", t.label, fn, _transverse_direction, curves,
+            yield t, _sample("transverse", t.label, fn, _transverse_direction, curves,
                              _accept(kind, t != TransformType.DIRECT), 0.5)
-        return out
     finally:
         sx.clear_memo()
+
+
+def sample_transverses(kind, sub):
+    """The records of ``transverse_streams``, keyed by stream."""
+    return dict(transverse_streams(kind, sub))
 
 
 ARROW_GRID_COLS = range(-10, 10)
@@ -425,9 +429,9 @@ def _future_past_family():
     return _moebius_family(kind, CMat2(one, e1.scale(-T), e1.scale(T), one))
 
 
-def sample_future_past():
-    """Eight frames of the map pushing the future light cone to the past;
-    frame 0 is the identity."""
+def future_past_streams():
+    """Eight frames of the map pushing the future light cone to the past,
+    as (frame, records) in turn; frame 0 is the identity."""
     field = vector_fields(MetricKind.HYPERBOLIC)[(Subgroup.K, 0)]
     fn, direction = _future_past_family().fn(), field.fn()
     lim = FUTURE_PAST_LIMIT
@@ -437,7 +441,6 @@ def sample_future_past():
     def accept(u, v):
         return abs(u) <= lim and abs(v) <= lim  # also rejects nan and inf
 
-    frames = []
     for j in range(FUTURE_PAST_FRAMES):
         angl = math.exp(j / _FUTURE_PAST_EXP_SCALE - 3) if j > 0 else 0.0
         curves = []
@@ -447,9 +450,13 @@ def sample_future_past():
             curves.append((grade, [
                 (r * math.cosh(l / scale), r * math.sinh(l / scale), angl) for l in nodes
             ]))
-        frames.append(_sample(
-            "future_past", TransformType.DIRECT.label, fn, direction, curves, accept, 1.0))
-    return frames
+        yield j, _sample(
+            "future_past", TransformType.DIRECT.label, fn, direction, curves, accept, 1.0)
+
+
+def sample_future_past():
+    """The records of each frame of ``future_past_streams``, in order."""
+    return [frame for _, frame in future_past_streams()]
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from cliffeph import (
 )
 from cliffeph import ephgeom, plotcli
 from cliffeph.ephgeom import (
-    VertexReport, _family, _fit_parabola, _future_past_family, _sample,
-    _transverse, _vertex_check_family,
+    FUTURE_PAST_FRAMES, VertexReport, _family, _fit_parabola, _future_past_family, _sample,
+    _transverse, _vertex_check_family, future_past_streams, orbit_streams, transverse_streams,
 )
 from cliffeph.plotcli import run_verify
 from cliffeph.symexpr import (
@@ -375,6 +375,20 @@ class TestSampling:
         for frame in frames:
             assert all(r.pen_width_hint == 1.0 for r in frame)
             assert {r.color_grade for r in frame} <= {0.0, 1.0}
+
+    def test_public_samplers_collect_their_stream_generators(self):
+        # one sampling loop, two callers: the pipelines take the streams in
+        # turn, the public samplers collect them with the same keys
+        kind, sub = MetricKind.HYPERBOLIC, Subgroup.N
+        for public, streams in ((sample_orbits, orbit_streams),
+                                (sample_transverses, transverse_streams)):
+            pairs = list(streams(kind, sub))
+            assert [key for key, _ in pairs] == list(TransformType)
+            got = public(kind, sub)
+            assert list(got.items()) == pairs, public.__name__
+        pairs = list(future_past_streams())
+        assert [key for key, _ in pairs] == list(range(FUTURE_PAST_FRAMES))
+        assert sample_future_past() == [frame for _, frame in pairs]
 
     def test_sample_splits_polylines_and_passes_every_output_to_direction(self):
         seen = []

@@ -29,7 +29,8 @@ def _streams():
     """([(file name, call)] for every file that ``cliffeph all`` writes,
     {compiled function: (exprs, argument names)}).  A call is the (fn,
     direction, curves, accept) that the file's sampler passes to
-    ``_sample``, which is stubbed, so that nothing is sampled."""
+    ``_sample``, which is stubbed, so that nothing is sampled; each
+    pipeline's stream generator is drained to make every call."""
     calls, exprs_of = [], {}
 
     def compile_ex(exprs, args):
@@ -48,7 +49,7 @@ def _streams():
         for name, (sampler, stems) in plotcli.PIPELINE_STEMS.items():
             jobs = [()] if name == "future-past" else [(k, s) for k in MetricKind for s in Subgroup]
             for job in jobs:
-                getattr(ephgeom, sampler)(*job)
+                list(getattr(plotcli, sampler)(*job))
                 names += [plotcli.curve_filename(stem, job[1], job[0], "jsonl") if job
                           else stem + ".jsonl" for stem in stems.values()]
     assert len(names) == len(calls) == 71

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.dom.minidom
 from xml.etree import ElementTree
 
@@ -17,7 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cliffeph
-from cliffeph import CurveRecord, JobConfig, cli_main, curve_filename, plotcli, write_curves
+from cliffeph import (
+    CurveRecord, JobConfig, cli_main, curve_filename, ephgeom, plotcli, sample_future_past, symexpr,
+    write_curves,
+)
 from cliffeph.curves import FIELDS
 from cliffeph.ephgeom import MetricKind, Subgroup
 from cliffeph.plotcli import _parse_args, run_verify
@@ -169,9 +173,11 @@ class TestWriteSafety:
         pytest.param([_rec(), _rec(u=0.7)], (math.inf, 25.0), id="view-box"),
         *(pytest.param([_rec(), _rec(u=0.7)], limits, id="view-box-%g-%g" % limits)
           for limits in ((-1, 25), (0, 25), (25, -1))),
+        # no repr: Python's own "Exceeds the limit (4300 digits)" error named nothing
+        pytest.param([_rec(), _rec(u=0.7)], (10 ** 4300, 1.0), id="view-box-4301-digits"),
     ])
     def test_svg_overflowing_tip_or_box_raises_and_leaves_no_file(self, tmp_path, recs, limits):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot "):
             write_curves(recs, tmp_path / "a.svg", "svg", limits=limits)
         assert os.listdir(tmp_path) == []
 
@@ -669,6 +675,88 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "arrows-N-p.jsonl").read_text().splitlines()
         assert len(lines) == 220
+
+
+class TestStreaming:
+    """A pipeline task writes each stream's file before it samples the
+    next stream, so it holds one stream's records at a time."""
+
+    BLOCKED_ARGV = ["transverses", "--metric", "e", "--subgroup", "A", "--out"]
+    # the files of BLOCKED_ARGV, stream 0..2
+    BLOCKED_NAMES = ["orbit-t-A-e.jsonl", "cayley-t-A-e.jsonl", "cayl-a-t-A-e.jsonl"]
+
+    @pytest.mark.parametrize("argv,job", [
+        (["orbits", "--metric", "h", "--subgroup", "N"], (MetricKind.HYPERBOLIC, Subgroup.N)),
+        (["transverses", "--metric", "e", "--subgroup", "A"], (MetricKind.ELLIPTIC, Subgroup.A)),
+        (["future-past"], ()),
+    ])
+    def test_each_stream_is_written_before_the_next_is_sampled(
+            self, tmp_path, monkeypatch, capsys, argv, job):
+        sample, listed = ephgeom._sample, []
+
+        def listing_sample(*args):
+            listed.append(sorted(os.listdir(tmp_path)))
+            return sample(*args)
+
+        monkeypatch.setattr(ephgeom, "_sample", listing_sample)
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+        names = [curve_filename(stem, job[1], job[0], "jsonl") if job else stem + ".jsonl"
+                 for stem in plotcli.PIPELINE_STEMS[argv[0]][1].values()]
+        # stream k is sampled once the files of streams 0..k-1, and no .part, are in place
+        assert listed == [sorted(names[:k]) for k in range(len(names))]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+
+    def test_task_peak_is_below_half_the_sampler_peak(self, tmp_path):
+        # tracemalloc peaks above the traced size at each call's start; the
+        # task holds one of the 8 future-past frames, the sampler all of them
+        config = JobConfig(kinds=[], subs=[], out_dir=str(tmp_path))
+        list(plotcli.run_pipeline("future-past", (), config))  # the symbolic build is cached
+
+        def peak(call):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            sampler = peak(sample_future_past)
+            task = peak(lambda: list(plotcli.run_pipeline("future-past", (), config)))
+        finally:
+            tracemalloc.stop()
+        assert task < sampler / 2, (task, sampler)
+
+    def test_failed_write_mid_task_keeps_the_streams_before_it(self, tmp_path, capsys):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert cli_main(self.BLOCKED_ARGV + [str(clean)]) == 0
+        capsys.readouterr()
+        (out / self.BLOCKED_NAMES[1]).mkdir(parents=True)  # an existing directory where stream 1 goes
+        assert cli_main(self.BLOCKED_ARGV + [str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cliffeph: error: cannot write ")
+        assert captured.out.splitlines() == [str(out / self.BLOCKED_NAMES[0])]
+        assert sorted(os.listdir(out)) == sorted(self.BLOCKED_NAMES[:2])  # no .part
+        first = self.BLOCKED_NAMES[0]
+        assert (out / first).read_bytes() == (clean / first).read_bytes()
+        # stream 1's build filled the constructor memo; the closed stream
+        # generator's finally emptied it
+        assert [f.cache_info().currsize for f in (symexpr.add, symexpr.mul, symexpr.pow_)] == [
+            0, 0, 0]
+
+    def test_sampling_error_mid_task_keeps_the_streams_before_it(
+            self, tmp_path, monkeypatch, capsys):
+        sample = ephgeom._sample
+
+        def sample_but_stream_1(kind_name, label, *args):
+            if label == "cayley_point":
+                raise ZeroDivisionError("no stream 1")
+            return sample(kind_name, label, *args)
+
+        monkeypatch.setattr(ephgeom, "_sample", sample_but_stream_1)
+        with pytest.raises(ZeroDivisionError):
+            cli_main(self.BLOCKED_ARGV + [str(tmp_path)])
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / self.BLOCKED_NAMES[0])]
+        assert os.listdir(tmp_path) == [self.BLOCKED_NAMES[0]]
 
 
 def _no_children():
