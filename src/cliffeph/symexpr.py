@@ -23,12 +23,13 @@ gives a plain term's coefficient as the int 1.
 Every node is unique (hash-consed): a constructor first looks its class
 and fields up in one module table, so equal structures are one object and
 ``==`` and ``hash`` are identity.  ``_key``, built once from the
-children's keys, is only the term order the constructors sort by.  The
-table is never emptied; a whole ``cliffeph all`` leaves 2,821 nodes in
-it.  :func:`add`, :func:`mul` and :func:`pow_` are memoized by their
-arguments, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart;
-:func:`clear_memo` empties those memos, not the table, after each
-symbolic build of the EPH geometry, a failed one too.
+children's keys, is only the term order the constructors sort by.
+:func:`add`, :func:`mul` and :func:`pow_` are memoized by their
+arguments, typed, so ``0.1`` and ``Fraction(0.1)`` stay apart; after each
+symbolic build of the EPH geometry, a failed one too, :func:`clear_memo`
+empties those memos and, as GiNaC frees a node its last holder lets go,
+drops every node only the table holds, so no reachable node meets a
+rebuilt twin: a whole ``cliffeph all`` leaves 683 of its 2,821 nodes.
 
 The node classes are final: nothing subclasses ``Rational``, ``Symbol``,
 ``Add``, ``Mul``, ``Pow`` or ``Func``, so the constructors dispatch on
@@ -37,6 +38,7 @@ The node classes are final: nothing subclasses ``Rational``, ``Symbol``,
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -62,8 +64,8 @@ class NonLinearError(ExprError):
 # Expression nodes
 
 
-# Every node ever built, keyed by its class and fields: children, being
-# unique, hash by identity, and a Rational by its (numerator, denominator).
+# Every node not yet dropped by clear_memo(), inserted after its children and
+# keyed by class and fields: a child hashes by identity, a Rational by its ratio.
 _NODES = {}
 
 
@@ -411,10 +413,18 @@ def mul(*factors):
 
 
 def clear_memo():
-    """Empty the memo tables of :func:`add`, :func:`mul` and :func:`pow_`;
-    the nodes themselves stay unique, so a rebuild returns the same objects."""
+    """Empty the memo tables of :func:`add`, :func:`mul` and :func:`pow_`,
+    then drop from the node table every node that nothing outside it holds.
+    A held node stays, so a rebuild returns the same object."""
     for constructor in (add, mul, pow_):
         constructor.cache_clear()
+    # Children are inserted before their parents; popping from the end frees a
+    # dropped parent's key, and its hold on them, before they are looked at.
+    keys = list(_NODES)
+    while keys:
+        key = keys.pop()
+        if sys.getrefcount(_NODES[key]) == 2:  # the table's value and the argument
+            del _NODES[key]
 
 
 def _make_func(name, arg):

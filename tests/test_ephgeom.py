@@ -40,7 +40,7 @@ from cliffeph import (
     verify_k_orbit,
     verify_parabolic_vertices,
 )
-from cliffeph import ephgeom, plotcli
+from cliffeph import ephgeom, plotcli, symexpr
 from cliffeph.ephgeom import (
     FUTURE_PAST_FRAMES, VertexReport, _family, _fit_parabola, _future_past_family, _sample,
     _transverse, _vertex_check_family, future_past_streams, orbit_streams, transverse_streams,
@@ -181,6 +181,29 @@ class TestFamilies:
             assert info.value.__cause__ is cause
             # the matrices built before the failure leave no memo entry behind
             assert [f.cache_info().currsize for f in (add, mul, pow_)] == [0, 0, 0]
+        finally:
+            for cached in (_family, build_families):
+                cached.cache_clear()
+
+    def test_failed_family_sweeps_the_nodes_it_built(self, monkeypatch):
+        def fail(built, *args):
+            assert built.a.coeff(()) is mat.a.coeff(())
+            add(mul(symbol("built_by_a_failed_family"), t), 1)
+            raise ZeroDivisionError("no inverse")
+
+        kind, sub, ttype = MetricKind.ELLIPTIC, Subgroup.K, TransformType.DIRECT
+        for cached in (_family, build_families):
+            cached.cache_clear()
+        # the test holds the family's matrix, so rebuilding it adds no node
+        mat = subgroup_exp(sub, ephgeom.T, kind)
+        clear_memo()
+        before = len(symexpr._NODES)
+        monkeypatch.setattr(ephgeom, "clifford_moebius_map", fail)
+        try:
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "family (K, DIRECT, ELLIPTIC) failed: no inverse")):
+                _family(kind, sub, ttype)
+            assert len(symexpr._NODES) <= before
         finally:
             for cached in (_family, build_families):
                 cached.cache_clear()
